@@ -17,6 +17,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --release --offline -q
 
+echo "==> perfbench self-tests"
+# The benchmark package (its own workspace under perfbench/) runs one
+# smoke repetition of every workload, traced and untraced, against the
+# pinned output digests in perfbench/pins.txt: a change that alters any
+# simulated outcome fails here, not only in a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cml analyze --self-test"
 cargo run --release --offline -q -p connman-lab --bin cml -- analyze --self-test
 

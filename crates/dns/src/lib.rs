@@ -52,11 +52,11 @@ pub mod zone;
 pub use error::DnsError;
 pub use header::{Header, Opcode, Rcode};
 pub use message::Message;
-pub use name::{Label, Name, MAX_LABEL_LEN, MAX_NAME_LEN};
-pub use question::Question;
+pub use name::{Compressor, Label, Name, WireName, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use question::{Question, WireQuestion};
 pub use record::{Record, RecordClass, RecordData, RecordType};
 pub use wire::{BufPool, WireBuf, WireReader, WireWriter};
-pub use zone::{Zone, ZoneServer};
+pub use zone::{Lookup, Referral, Zone, ZoneServer};
 
 /// Maximum size of a DNS message carried over UDP without EDNS0, in bytes.
 pub const MAX_UDP_MESSAGE: usize = 512;

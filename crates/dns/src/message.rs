@@ -1,9 +1,9 @@
 //! Whole-message assembly and parsing.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::header::{Header, Rcode};
+use crate::name::Compressor;
 use crate::question::Question;
 use crate::record::Record;
 use crate::wire::{WireBuf, WireReader, WireWriter};
@@ -152,7 +152,7 @@ impl Message {
 
     /// [`encode`](Self::encode) into a reusable buffer: `out`'s
     /// contents are replaced, its capacity is kept, and a warm buffer
-    /// makes the whole encode allocation-free (name compression aside).
+    /// makes the whole encode allocation-free.
     ///
     /// # Errors
     ///
@@ -164,19 +164,19 @@ impl Message {
     }
 
     fn encode_with(&self, mut w: WireWriter) -> Result<Vec<u8>, DnsError> {
-        let mut offsets = HashMap::new();
+        let mut comp = Compressor::new();
         self.header.encode(&mut w)?;
         for q in &self.questions {
-            q.encode(&mut w, &mut offsets)?;
+            q.encode(&mut w, &mut comp)?;
         }
         for r in &self.answers {
-            r.encode(&mut w, &mut offsets)?;
+            r.encode(&mut w, &mut comp)?;
         }
         for r in &self.authorities {
-            r.encode(&mut w, &mut offsets)?;
+            r.encode(&mut w, &mut comp)?;
         }
         for r in &self.additionals {
-            r.encode(&mut w, &mut offsets)?;
+            r.encode(&mut w, &mut comp)?;
         }
         Ok(w.into_bytes())
     }

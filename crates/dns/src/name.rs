@@ -1,6 +1,5 @@
 //! Domain names: labels, parsing, wire encoding and decompression.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::wire::{WireBuf, WireReader, WireWriter};
@@ -126,15 +125,42 @@ impl Ord for Label {
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &b in self.as_bytes() {
-            if b.is_ascii_graphic() && b != b'.' && b != b'\\' {
-                write!(f, "{}", b as char)?;
-            } else {
-                write!(f, "\\{b:03}")?;
-            }
-        }
-        Ok(())
+        fmt_label(self.as_bytes(), f)
     }
+}
+
+/// Writes one label in presentation form: runs of plain printable
+/// bytes go out in one `write_str`, and `.`, `\` and every non-graphic
+/// byte as a `\DDD` decimal escape.
+fn fmt_label(bytes: &[u8], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let plain = |b: u8| b.is_ascii_graphic() && b != b'.' && b != b'\\';
+    let mut rest = bytes;
+    loop {
+        let run = rest.iter().position(|&b| !plain(b)).unwrap_or(rest.len());
+        // A run of ASCII graphic bytes is always valid UTF-8.
+        f.write_str(std::str::from_utf8(&rest[..run]).map_err(|_| fmt::Error)?)?;
+        let Some((&b, tail)) = rest[run..].split_first() else {
+            return Ok(());
+        };
+        write!(f, "\\{b:03}")?;
+        rest = tail;
+    }
+}
+
+/// Writes a label sequence in presentation form (`.` for the root).
+fn fmt_labels<'a>(
+    mut labels: impl Iterator<Item = &'a [u8]>,
+    f: &mut fmt::Formatter<'_>,
+) -> fmt::Result {
+    let Some(first) = labels.next() else {
+        return f.write_str(".");
+    };
+    fmt_label(first, f)?;
+    for label in labels {
+        f.write_str(".")?;
+        fmt_label(label, f)?;
+    }
+    Ok(())
 }
 
 /// A fully-qualified domain name as an ordered list of labels.
@@ -261,11 +287,8 @@ impl Name {
         Ok(())
     }
 
-    /// Encodes with RFC 1035 §4.1.4 compression.
-    ///
-    /// `offsets` maps previously-emitted suffixes to their positions; this
-    /// method both consults and extends it. Only offsets that fit the
-    /// 14-bit pointer encoding are recorded.
+    /// Encodes with RFC 1035 §4.1.4 compression, sharing `comp`'s
+    /// record of the suffixes already in the message.
     ///
     /// # Errors
     ///
@@ -273,25 +296,9 @@ impl Name {
     pub fn encode_compressed(
         &self,
         w: &mut WireWriter,
-        offsets: &mut HashMap<Name, u16>,
+        comp: &mut Compressor,
     ) -> Result<(), DnsError> {
-        let mut suffix = self.clone();
-        loop {
-            if suffix.is_root() {
-                return w.write_u8(0);
-            }
-            if let Some(&off) = offsets.get(&suffix) {
-                return w.write_u16(0xC000 | off);
-            }
-            let here = w.len();
-            if here <= 0x3FFF {
-                offsets.insert(suffix.clone(), here as u16);
-            }
-            let label = &suffix.labels[0];
-            w.write_u8(label.len() as u8)?;
-            w.write_bytes(label.as_bytes())?;
-            suffix = suffix.parent().expect("non-root name has a parent");
-        }
+        comp.write_name(w, WireName::from(self).as_bytes())
     }
 
     /// Decodes a (possibly compressed) name at the reader's position,
@@ -362,16 +369,7 @@ impl Name {
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
-        }
-        for (i, label) in self.labels.iter().enumerate() {
-            if i > 0 {
-                write!(f, ".")?;
-            }
-            write!(f, "{label}")?;
-        }
-        Ok(())
+        fmt_labels(self.labels.iter().map(Label::as_bytes), f)
     }
 }
 
@@ -380,6 +378,241 @@ impl std::str::FromStr for Name {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         Name::parse(s)
+    }
+}
+
+/// A name in uncompressed wire form — length-prefixed labels and the
+/// root byte — held inline. A wire name is at most [`MAX_NAME_LEN`]
+/// bytes, so building, copying, case-folding and comparing one never
+/// touches the heap; it is the allocation-free currency of the zone
+/// keys, the name compressor and the resolver's miss path.
+#[derive(Clone, Copy)]
+pub struct WireName {
+    len: u8,
+    buf: [u8; MAX_NAME_LEN],
+}
+
+impl WireName {
+    /// Wraps the uncompressed wire name that makes up all of `bytes`,
+    /// or `None` if `bytes` is not exactly one (no pointers, a root
+    /// terminator as the last byte, at most [`MAX_NAME_LEN`] bytes).
+    pub fn from_wire(bytes: &[u8]) -> Option<Self> {
+        if bytes.len() > MAX_NAME_LEN {
+            return None;
+        }
+        let mut i = 0;
+        loop {
+            let l = *bytes.get(i)? as usize;
+            if l == 0 {
+                break;
+            }
+            if l > MAX_LABEL_LEN {
+                return None;
+            }
+            i += 1 + l;
+        }
+        if i + 1 != bytes.len() {
+            return None;
+        }
+        let mut buf = [0u8; MAX_NAME_LEN];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Some(WireName {
+            len: bytes.len() as u8,
+            buf,
+        })
+    }
+
+    /// The wire bytes, root byte included.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+
+    /// The same name with every ASCII letter lowercased — the canonical
+    /// form of RFC 1035 §2.3.3 case-insensitive matching. Length bytes
+    /// are at most 63, below the ASCII uppercase range, so folding the
+    /// whole buffer never corrupts the structure.
+    pub fn to_ascii_lowercase(mut self) -> Self {
+        self.buf[..self.len as usize].make_ascii_lowercase();
+        self
+    }
+
+    /// Case-insensitive equality.
+    pub fn eq_ignore_case(&self, other: &WireName) -> bool {
+        self.as_bytes().eq_ignore_ascii_case(other.as_bytes())
+    }
+
+    /// The label bytes, most-specific first.
+    pub(crate) fn labels(&self) -> impl Iterator<Item = &[u8]> {
+        suffix_offsets(self.as_bytes()).map(|at| {
+            let l = self.buf[at] as usize;
+            &self.buf[at + 1..at + 1 + l]
+        })
+    }
+}
+
+impl From<&Name> for WireName {
+    fn from(name: &Name) -> Self {
+        // Every `Name` is at most MAX_NAME_LEN bytes on the wire.
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let mut at = 0;
+        for label in &name.labels {
+            buf[at] = label.len;
+            buf[at + 1..at + 1 + label.len()].copy_from_slice(label.as_bytes());
+            at += 1 + label.len();
+        }
+        WireName {
+            len: at as u8 + 1,
+            buf,
+        }
+    }
+}
+
+impl fmt::Display for WireName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt_labels(self.labels(), f)
+    }
+}
+
+impl PartialEq for WireName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for WireName {}
+
+impl fmt::Debug for WireName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "WireName({self})")
+    }
+}
+
+/// Offsets of every non-root suffix of a well-formed uncompressed wire
+/// name: the position of each label's length byte.
+pub(crate) fn suffix_offsets(wire: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let l = *wire.get(at)? as usize;
+        if l == 0 {
+            return None;
+        }
+        let here = at;
+        at += 1 + l;
+        Some(here)
+    })
+}
+
+/// Inline capacity of a [`Compressor`] before it spills to the heap;
+/// a referral with glue records about a dozen suffixes.
+const INLINE_SUFFIXES: usize = 32;
+
+/// Name-compression state for one message (RFC 1035 §4.1.4).
+///
+/// Remembers where each suffix was first written as a `(hash, offset)`
+/// pair — inline for the first 32, on the heap only past that — and
+/// confirms every hash hit against the bytes already written, so a
+/// collision can never produce a wrong pointer. Matching is
+/// byte-exact (case-sensitive), the first-seen offset of a suffix is
+/// the one reused, and only offsets that fit the 14-bit pointer are
+/// recorded: the output is byte-identical to a `HashMap<Name, u16>`
+/// keyed by whole suffixes, without cloning a `Name` per suffix.
+#[derive(Debug, Clone)]
+pub struct Compressor {
+    inline: [(u32, u16); INLINE_SUFFIXES],
+    len: usize,
+    spill: Vec<(u32, u16)>,
+}
+
+impl Default for Compressor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Compressor {
+    /// Empty state for a fresh message.
+    pub fn new() -> Self {
+        Compressor {
+            inline: [(0, 0); INLINE_SUFFIXES],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &(u32, u16)> {
+        self.inline[..self.len].iter().chain(&self.spill)
+    }
+
+    fn remember(&mut self, hash: u32, offset: u16) {
+        if self.len < INLINE_SUFFIXES {
+            self.inline[self.len] = (hash, offset);
+            self.len += 1;
+        } else {
+            self.spill.push((hash, offset));
+        }
+    }
+
+    /// Writes the uncompressed wire name `wire` (as produced by
+    /// [`WireName::as_bytes`]) into `w`, replacing its longest suffix
+    /// already in the message by a pointer and remembering the suffixes
+    /// it writes out in full.
+    ///
+    /// # Errors
+    ///
+    /// Propagates writer capacity errors.
+    pub fn write_name(&mut self, w: &mut WireWriter, wire: &[u8]) -> Result<(), DnsError> {
+        for at in suffix_offsets(wire) {
+            let suffix = &wire[at..];
+            let hash = fnv1a(suffix);
+            let hit = self
+                .entries()
+                .find(|&&(h, off)| h == hash && written_at(w.as_bytes(), off as usize, suffix));
+            if let Some(&(_, off)) = hit {
+                return w.write_u16(0xC000 | off);
+            }
+            let here = w.len();
+            if here <= 0x3FFF {
+                self.remember(hash, here as u16);
+            }
+            w.write_bytes(&suffix[..1 + suffix[0] as usize])?;
+        }
+        w.write_u8(0)
+    }
+}
+
+/// FNV-1a over a suffix's exact wire bytes.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811C_9DC5u32, |h, &b| {
+        (h ^ b as u32).wrapping_mul(0x0100_0193)
+    })
+}
+
+/// Whether the (possibly compressed) name written at `at` in `msg`
+/// spells exactly the uncompressed wire name `want`. Pointers a
+/// [`Compressor`] writes always target a label it wrote in full, so
+/// following them terminates.
+fn written_at(msg: &[u8], mut at: usize, mut want: &[u8]) -> bool {
+    loop {
+        let Some(&len) = msg.get(at) else {
+            return false;
+        };
+        if len & 0xC0 == 0xC0 {
+            let Some(&lo) = msg.get(at + 1) else {
+                return false;
+            };
+            at = ((len as usize & 0x3F) << 8) | lo as usize;
+            continue;
+        }
+        let l = len as usize;
+        match (want.get(..1 + l), msg.get(at..at + 1 + l)) {
+            (Some(a), Some(b)) if a == b => {}
+            _ => return false,
+        }
+        if l == 0 {
+            return true;
+        }
+        want = &want[1 + l..];
+        at += 1 + l;
     }
 }
 
@@ -459,15 +692,15 @@ mod tests {
     #[test]
     fn compression_shares_suffixes() {
         let mut w = WireWriter::new();
-        let mut offsets = HashMap::new();
+        let mut comp = Compressor::new();
         Name::parse("mail.example.com")
             .unwrap()
-            .encode_compressed(&mut w, &mut offsets)
+            .encode_compressed(&mut w, &mut comp)
             .unwrap();
         let first_len = w.len();
         Name::parse("ftp.example.com")
             .unwrap()
-            .encode_compressed(&mut w, &mut offsets)
+            .encode_compressed(&mut w, &mut comp)
             .unwrap();
         let bytes = w.into_bytes();
         // Second name is "ftp" label + 2-byte pointer.
@@ -550,6 +783,54 @@ mod tests {
         let b = Name::parse("www.example.com").unwrap();
         assert!(a.eq_ignore_case(&b));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn wire_name_mirrors_name() {
+        let odd = Name::from_labels(vec![
+            Label::from_bytes_relaxed(b"Dot.ted").unwrap(),
+            Label::from_bytes_relaxed(b"b\\s").unwrap(),
+            Label::from_bytes_relaxed(b"hi\xE9 x").unwrap(),
+            Label::new("COM").unwrap(),
+        ])
+        .unwrap();
+        for name in [odd, Name::root(), Name::parse("www.Example.com").unwrap()] {
+            let wire = WireName::from(&name);
+            assert_eq!(wire.as_bytes(), encode(&name));
+            assert_eq!(wire.to_string(), name.to_string());
+            assert_eq!(WireName::from_wire(wire.as_bytes()), Some(wire));
+            let lower = wire.to_ascii_lowercase();
+            assert!(lower.eq_ignore_case(&wire));
+            assert_eq!(wire.labels().count(), name.label_count());
+        }
+        assert_eq!(
+            WireName::from(
+                &Name::from_labels(vec![Label::from_bytes_relaxed(b"a.b\\").unwrap()]).unwrap()
+            )
+            .to_string(),
+            "a\\046b\\092"
+        );
+    }
+
+    #[test]
+    fn wire_name_refuses_malformed_bytes() {
+        for bad in [
+            &[][..],
+            &[1, b'a'],
+            &[1, b'a', 0, 0],
+            &[0xC0, 0x00],
+            &[64],
+            &[2, b'a', 0],
+        ] {
+            assert!(WireName::from_wire(bad).is_none(), "{bad:?}");
+        }
+        let mut long = Vec::new();
+        for _ in 0..4 {
+            long.push(63);
+            long.extend([b'x'; 63]);
+        }
+        long.push(0);
+        assert!(WireName::from_wire(&long).is_none(), "257 bytes");
     }
 
     #[test]

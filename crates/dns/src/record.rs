@@ -1,10 +1,9 @@
 //! Resource records and their RDATA (RFC 1035 §3.2, RFC 3596).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use crate::name::Name;
+use crate::name::{Compressor, Name};
 use crate::wire::{WireReader, WireWriter};
 use crate::DnsError;
 
@@ -273,12 +272,8 @@ impl Record {
     /// # Errors
     ///
     /// Propagates writer capacity errors.
-    pub fn encode(
-        &self,
-        w: &mut WireWriter,
-        offsets: &mut HashMap<Name, u16>,
-    ) -> Result<(), DnsError> {
-        self.name.encode_compressed(w, offsets)?;
+    pub fn encode(&self, w: &mut WireWriter, comp: &mut Compressor) -> Result<(), DnsError> {
+        self.name.encode_compressed(w, comp)?;
         w.write_u16(self.rtype.to_u16())?;
         w.write_u16(self.class.to_u16())?;
         w.write_u32(self.ttl)?;
@@ -286,29 +281,25 @@ impl Record {
         let len_at = w.len();
         w.write_u16(0)?;
         let start = w.len();
-        self.encode_rdata(w, offsets)?;
+        self.encode_rdata(w, comp)?;
         let rdlen = w.len() - start;
         w.patch_u16(len_at, rdlen as u16);
         Ok(())
     }
 
-    fn encode_rdata(
-        &self,
-        w: &mut WireWriter,
-        offsets: &mut HashMap<Name, u16>,
-    ) -> Result<(), DnsError> {
+    fn encode_rdata(&self, w: &mut WireWriter, comp: &mut Compressor) -> Result<(), DnsError> {
         match &self.data {
             RecordData::A(ip) => w.write_bytes(&ip.octets()),
             RecordData::Aaaa(ip) => w.write_bytes(&ip.octets()),
             RecordData::Cname(n) | RecordData::Ns(n) | RecordData::Ptr(n) => {
-                n.encode_compressed(w, offsets)
+                n.encode_compressed(w, comp)
             }
             RecordData::Mx {
                 preference,
                 exchange,
             } => {
                 w.write_u16(*preference)?;
-                exchange.encode_compressed(w, offsets)
+                exchange.encode_compressed(w, comp)
             }
             RecordData::Txt(strings) => {
                 for s in strings {
@@ -332,8 +323,8 @@ impl Record {
                 expire,
                 minimum,
             } => {
-                mname.encode_compressed(w, offsets)?;
-                rname.encode_compressed(w, offsets)?;
+                mname.encode_compressed(w, comp)?;
+                rname.encode_compressed(w, comp)?;
                 w.write_u32(*serial)?;
                 w.write_u32(*refresh)?;
                 w.write_u32(*retry)?;
@@ -489,7 +480,7 @@ mod tests {
 
     fn roundtrip(rec: &Record) -> Record {
         let mut w = WireWriter::new();
-        rec.encode(&mut w, &mut HashMap::new()).unwrap();
+        rec.encode(&mut w, &mut Compressor::new()).unwrap();
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         let back = Record::decode(&mut r).unwrap();

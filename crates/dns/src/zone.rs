@@ -10,11 +10,16 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::header::Rcode;
 use crate::message::Message;
-use crate::name::Name;
+use crate::name::{suffix_offsets, Name, WireName, MAX_NAME_LEN};
+use crate::question::WireQuestion;
 use crate::record::{Record, RecordData, RecordType};
 use crate::wire::WireBuf;
 
-/// An in-memory zone: records keyed by lower-cased name and type.
+/// An in-memory zone: record sets keyed by lowercased wire name and
+/// type.
+///
+/// Lookups build their key on the stack and hand back borrowed record
+/// sets, so answering from a zone never allocates.
 ///
 /// A zone may carry NS records below its origin; those express
 /// *delegation*, and [`Zone::delegation`] finds the referral (NS set
@@ -23,12 +28,34 @@ use crate::wire::WireBuf;
 /// never a referral.
 #[derive(Debug, Clone, Default)]
 pub struct Zone {
-    records: HashMap<(String, RecordType), Vec<Record>>,
+    records: HashMap<Box<[u8]>, Vec<Record>>,
     origin: Option<Name>,
 }
 
-fn key_of(name: &Name, rtype: RecordType) -> (String, RecordType) {
-    (name.to_string().to_ascii_lowercase(), rtype)
+/// A record-set key, built on the stack: the lowercased wire name, then
+/// the type's wire value and a byte telling an explicit `Other(n)` for
+/// an assigned `n` apart from the named type. The type bytes trail the
+/// name, so the key of any ancestor is a sub-slice of the key of its
+/// descendant.
+struct SetKey {
+    len: usize,
+    buf: [u8; MAX_NAME_LEN + 3],
+}
+
+impl SetKey {
+    fn new(name: &[u8], rtype: RecordType) -> Self {
+        let n = name.len();
+        let mut buf = [0u8; MAX_NAME_LEN + 3];
+        buf[..n].copy_from_slice(name);
+        buf[..n].make_ascii_lowercase();
+        buf[n..n + 2].copy_from_slice(&rtype.to_u16().to_be_bytes());
+        buf[n + 2] = u8::from(RecordType::from_u16(rtype.to_u16()) != rtype);
+        SetKey { len: n + 3, buf }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
 }
 
 impl Zone {
@@ -59,8 +86,11 @@ impl Zone {
 
     /// Adds a record.
     pub fn insert(&mut self, record: Record) -> &mut Self {
-        let key = key_of(record.name(), record.rtype());
-        self.records.entry(key).or_default().push(record);
+        let key = SetKey::new(WireName::from(record.name()).as_bytes(), record.rtype());
+        self.records
+            .entry(key.as_bytes().into())
+            .or_default()
+            .push(record);
         self
     }
 
@@ -92,60 +122,86 @@ impl Zone {
         self.insert(Record::new(name, ttl, RecordData::Ns(ns)))
     }
 
+    /// The record set for a wire name and type, if any.
+    fn set(&self, name: &[u8], rtype: RecordType) -> Option<&[Record]> {
+        self.records
+            .get(SetKey::new(name, rtype).as_bytes())
+            .map(Vec::as_slice)
+    }
+
     /// Finds the deepest delegation covering `qname`: walks from the
     /// query name up through its ancestors (stopping at the zone
     /// origin, whose NS set is the apex, not a cut) and returns the
     /// first NS set found together with its glue — the A/AAAA records
     /// this zone holds for the delegated nameservers.
-    pub fn delegation(&self, qname: &Name) -> Option<(Vec<Record>, Vec<Record>)> {
-        let mut cut = Some(qname.clone());
-        while let Some(name) = cut {
-            if self.origin.as_ref().is_some_and(|o| name.eq_ignore_case(o)) {
+    pub fn delegation(&self, qname: &Name) -> Option<Referral<'_>> {
+        self.delegation_wire(&WireName::from(qname))
+    }
+
+    /// [`delegation`](Self::delegation) over a wire name: every
+    /// ancestor's key is a sub-slice of the query's, so the walk builds
+    /// one key and clones nothing.
+    fn delegation_wire(&self, qname: &WireName) -> Option<Referral<'_>> {
+        let origin = self
+            .origin
+            .as_ref()
+            .map(|o| WireName::from(o).to_ascii_lowercase());
+        let wire = qname.as_bytes();
+        let key = SetKey::new(wire, RecordType::Ns);
+        let root = wire.len() - 1;
+        for at in suffix_offsets(wire).chain([root]) {
+            let cut = &key.as_bytes()[at..];
+            if origin.is_some_and(|o| o.as_bytes() == &cut[..wire.len() - at]) {
                 return None;
             }
-            let ns_set = self
-                .records
-                .get(&key_of(&name, RecordType::Ns))
-                .filter(|r| !r.is_empty());
-            if let Some(ns_set) = ns_set {
-                let mut glue = Vec::new();
-                for ns in ns_set {
-                    if let RecordData::Ns(target) = ns.data() {
-                        for rtype in [RecordType::A, RecordType::Aaaa] {
-                            if let Some(addrs) = self.records.get(&key_of(target, rtype)) {
-                                glue.extend(addrs.iter().cloned());
-                            }
-                        }
-                    }
-                }
-                return Some((ns_set.clone(), glue));
+            if let Some(ns) = self.records.get(cut).filter(|r| !r.is_empty()) {
+                return Some(Referral { zone: self, ns });
             }
-            cut = name.parent();
         }
         None
     }
 
-    /// Looks records up, following at most `depth` CNAME links.
-    pub fn lookup(&self, name: &Name, rtype: RecordType) -> Vec<Record> {
-        let mut out = Vec::new();
-        let mut current = name.clone();
-        for _ in 0..=4 {
-            if let Some(records) = self.records.get(&key_of(&current, rtype)) {
-                out.extend(records.iter().cloned());
+    /// Looks records up along the CNAME chain, visiting at most five
+    /// names. The answer borrows the zone's record sets: the CNAME set
+    /// of each name visited, then the set of the asked type.
+    pub fn lookup(&self, name: &Name, rtype: RecordType) -> Lookup<'_> {
+        self.lookup_wire(&WireName::from(name), rtype)
+    }
+
+    fn lookup_wire(&self, name: &WireName, rtype: RecordType) -> Lookup<'_> {
+        let mut out = Lookup {
+            sets: [&[]; MAX_LOOKUP_SETS],
+            len: 0,
+        };
+        let mut current = *name;
+        for _ in 0..MAX_LOOKUP_SETS {
+            if let Some(records) = self.set(current.as_bytes(), rtype) {
+                out.push(records);
                 return out;
             }
-            match self.records.get(&key_of(&current, RecordType::Cname)) {
-                Some(cnames) => {
-                    out.extend(cnames.iter().cloned());
-                    match cnames.first().map(Record::data) {
-                        Some(RecordData::Cname(target)) => current = target.clone(),
-                        _ => return out,
-                    }
-                }
-                None => return out,
+            let Some(cnames) = self.set(current.as_bytes(), RecordType::Cname) else {
+                return out;
+            };
+            out.push(cnames);
+            match cnames.first().map(Record::data) {
+                Some(RecordData::Cname(target)) => current = WireName::from(target),
+                _ => return out,
             }
         }
         out
+    }
+
+    /// What the zone answers for `name`/`rtype`: records, a referral,
+    /// or nothing.
+    fn reply(&self, name: &WireName, rtype: RecordType) -> Reply<'_> {
+        let answer = self.lookup_wire(name, rtype);
+        if !answer.is_empty() {
+            Reply::Answer(answer)
+        } else if let Some(referral) = self.delegation_wire(name) {
+            Reply::Referral(referral)
+        } else {
+            Reply::NxDomain
+        }
     }
 
     /// Number of record sets.
@@ -157,6 +213,74 @@ impl Zone {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
+}
+
+/// Most names one lookup visits along a CNAME chain, and so the most
+/// record sets it returns.
+const MAX_LOOKUP_SETS: usize = 5;
+
+/// The answer to a [`Zone::lookup`]: borrowed record sets in chain
+/// order (each CNAME link's set, then the asked type's).
+#[derive(Debug, Clone, Copy)]
+pub struct Lookup<'z> {
+    sets: [&'z [Record]; MAX_LOOKUP_SETS],
+    len: usize,
+}
+
+impl<'z> Lookup<'z> {
+    fn push(&mut self, set: &'z [Record]) {
+        self.sets[self.len] = set;
+        self.len += 1;
+    }
+
+    /// The answer records in order.
+    pub fn records(&self) -> impl Iterator<Item = &'z Record> + 'z {
+        let sets = self.sets;
+        sets.into_iter().take(self.len).flatten()
+    }
+
+    /// Whether the lookup found nothing.
+    pub fn is_empty(&self) -> bool {
+        self.sets[..self.len].iter().all(|s| s.is_empty())
+    }
+}
+
+/// A delegation found by [`Zone::delegation`], borrowed from the zone.
+#[derive(Debug, Clone, Copy)]
+pub struct Referral<'z> {
+    zone: &'z Zone,
+    ns: &'z [Record],
+}
+
+impl<'z> Referral<'z> {
+    /// The NS set at the cut.
+    pub fn ns(&self) -> &'z [Record] {
+        self.ns
+    }
+
+    /// The glue: for each delegated nameserver in NS-set order, the A
+    /// then AAAA records the zone holds for it.
+    pub fn glue(&self) -> impl Iterator<Item = &'z Record> + 'z {
+        let zone = self.zone;
+        self.ns
+            .iter()
+            .filter_map(|ns| match ns.data() {
+                RecordData::Ns(target) => Some(WireName::from(target)),
+                _ => None,
+            })
+            .flat_map(move |target| {
+                [RecordType::A, RecordType::Aaaa]
+                    .into_iter()
+                    .flat_map(move |rtype| zone.set(target.as_bytes(), rtype).unwrap_or(&[]))
+            })
+    }
+}
+
+/// What a zone answers one question with.
+enum Reply<'z> {
+    Answer(Lookup<'z>),
+    Referral(Referral<'z>),
+    NxDomain,
 }
 
 /// A request/response server over a [`Zone`].
@@ -209,35 +333,76 @@ impl ZoneServer {
         }
     }
 
-    /// [`handle`](Self::handle) through the pooled encode path:
-    /// replaces `out`'s contents with the response (keeping its
-    /// capacity, so a warm buffer encodes without allocating for the
-    /// response bytes) and returns `true`, or returns `false` when the
-    /// packet is dropped.
+    /// [`handle`](Self::handle) into a reusable buffer: replaces
+    /// `out`'s contents with the response (keeping its capacity) and
+    /// returns `true`, or returns `false` when the packet is dropped.
+    /// A canonical query (see [`WireQuestion`]) is answered straight
+    /// from the borrowed record sets, so with a warm `out` it does not
+    /// allocate; any other shape goes through a decoded [`Message`].
     pub fn handle_into(&mut self, query_bytes: &[u8], out: &mut WireBuf) -> bool {
+        let Some(q) = WireQuestion::parse(query_bytes) else {
+            return self.handle_decoded(query_bytes, out);
+        };
+        let reply = self.zone.reply(&q.qname, RecordType::from_u16(q.qtype));
+        let none: &[Record] = &[];
+        let sent = match reply {
+            Reply::Answer(answer) => {
+                self.queries_answered += 1;
+                q.respond(
+                    Rcode::NoError,
+                    answer.records(),
+                    none,
+                    none,
+                    out.as_mut_vec(),
+                )
+            }
+            Reply::Referral(referral) => {
+                self.queries_referred += 1;
+                q.respond(
+                    Rcode::NoError,
+                    none,
+                    referral.ns(),
+                    referral.glue(),
+                    out.as_mut_vec(),
+                )
+            }
+            Reply::NxDomain => {
+                self.queries_nxdomain += 1;
+                q.respond(Rcode::NxDomain, none, none, none, out.as_mut_vec())
+            }
+        };
+        sent.is_ok()
+    }
+
+    /// The general path for queries off the canonical shape (several
+    /// questions, compressed names, extra records): decode, answer the
+    /// first question, echo every question.
+    fn handle_decoded(&mut self, query_bytes: &[u8], out: &mut WireBuf) -> bool {
         let query = match Message::decode(query_bytes) {
             Ok(q) if !q.is_response() && !q.questions().is_empty() => q,
             _ => return false,
         };
         let q = &query.questions()[0];
-        let records = self.zone.lookup(q.qname(), q.qtype());
         let mut resp = Message::response_to(&query);
-        if !records.is_empty() {
-            for r in records {
-                resp.push_answer(r);
+        match self.zone.reply(&WireName::from(q.qname()), q.qtype()) {
+            Reply::Answer(answer) => {
+                answer.records().for_each(|r| resp.push_answer(r.clone()));
+                self.queries_answered += 1;
             }
-            self.queries_answered += 1;
-        } else if let Some((ns_set, glue)) = self.zone.delegation(q.qname()) {
-            for ns in ns_set {
-                resp.push_authority(ns);
+            Reply::Referral(referral) => {
+                referral
+                    .ns()
+                    .iter()
+                    .for_each(|r| resp.push_authority(r.clone()));
+                referral
+                    .glue()
+                    .for_each(|r| resp.push_additional(r.clone()));
+                self.queries_referred += 1;
             }
-            for g in glue {
-                resp.push_additional(g);
+            Reply::NxDomain => {
+                resp.set_rcode(Rcode::NxDomain);
+                self.queries_nxdomain += 1;
             }
-            self.queries_referred += 1;
-        } else {
-            resp.set_rcode(Rcode::NxDomain);
-            self.queries_nxdomain += 1;
         }
         resp.encode_into(out).is_ok()
     }
@@ -356,9 +521,9 @@ mod tests {
             z
         };
         let q = Name::parse("Deep.Sub.VENDOR.Com").unwrap();
-        let (ns_set, glue) = zone.delegation(&q).expect("covered by the cut");
-        assert_eq!(ns_set.len(), 1);
-        assert_eq!(glue.len(), 1);
+        let referral = zone.delegation(&q).expect("covered by the cut");
+        assert_eq!(referral.ns().len(), 1);
+        assert_eq!(referral.glue().count(), 1);
         assert!(zone
             .delegation(&Name::parse("other.org").unwrap())
             .is_none());

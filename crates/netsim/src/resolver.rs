@@ -44,10 +44,11 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use cml_dns::{
-    BufPool, Label, Message, Name, Question, Rcode, Record, RecordData, RecordType, WireBuf,
+    BufPool, Message, Name, Rcode, RecordData, RecordType, WireBuf, WireName, WireQuestion,
     ZoneServer,
 };
 
@@ -61,36 +62,6 @@ const MAX_CNAME_FOLLOWS: u8 = 8;
 
 /// Most referrals one resolution will chase.
 const MAX_REFERRALS: u8 = 16;
-
-/// Parses the canonical query shape (header with QR clear, QDCOUNT 1,
-/// empty record sections, one uncompressed question, nothing trailing)
-/// and returns `(id, qtype, qname wire bytes including the root byte)`.
-fn wire_question(b: &[u8]) -> Option<(u16, u16, &[u8])> {
-    if b.len() < 12 || b[2] & 0x80 != 0 {
-        return None;
-    }
-    if b[4..12] != [0, 1, 0, 0, 0, 0, 0, 0] {
-        return None;
-    }
-    let mut i = 12usize;
-    loop {
-        let l = *b.get(i)? as usize;
-        i += 1;
-        if l == 0 {
-            break;
-        }
-        if l & 0xC0 != 0 {
-            return None;
-        }
-        i += l;
-    }
-    if i - 12 > cml_dns::MAX_NAME_LEN || b.len() != i + 4 {
-        return None;
-    }
-    let id = u16::from_be_bytes([b[0], b[1]]);
-    let qtype = u16::from_be_bytes([b[i], b[i + 1]]);
-    Some((id, qtype, &b[12..i]))
-}
 
 /// FNV-1a over the case-folded qname wire plus the qtype, finished with
 /// a SplitMix64 mix. Length bytes are at most 63, outside the ASCII
@@ -184,16 +155,17 @@ impl ResolverCache {
     /// id patched in, and returns `true`. A warm `out` makes the whole
     /// hit allocation-free.
     pub fn lookup_into(&mut self, now: SimTime, query: &[u8], out: &mut Vec<u8>) -> bool {
-        if let Some((id, qtype, qname)) = wire_question(query) {
-            let key = canonical_key(qname, qtype);
+        if let Some(q) = WireQuestion::parse(query) {
+            let qname = q.qname.as_bytes();
+            let key = canonical_key(qname, q.qtype);
             if let Some(e) = self.entries.get(&key) {
                 if now < e.expires_at
-                    && e.qtype == qtype
+                    && e.qtype == q.qtype
                     && e.qname.as_bytes().eq_ignore_ascii_case(qname)
                 {
                     out.clear();
                     out.extend_from_slice(e.answer.as_bytes());
-                    out[0..2].copy_from_slice(&id.to_be_bytes());
+                    out[0..2].copy_from_slice(&q.id.to_be_bytes());
                     self.stats.hits += 1;
                     return true;
                 }
@@ -217,9 +189,10 @@ impl ResolverCache {
         if ttl_ticks == 0 || response.len() < 12 {
             return false;
         }
-        let Some((_, qtype, qname)) = wire_question(query) else {
+        let Some(q) = WireQuestion::parse(query) else {
             return false;
         };
+        let (qname, qtype) = (q.qname.as_bytes(), q.qtype);
         let key = canonical_key(qname, qtype);
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             self.evict_soonest();
@@ -333,9 +306,12 @@ impl Internet {
         self.servers.get(&addr)
     }
 
-    /// Delivers one query datagram to the server at `addr`.
-    fn handle(&mut self, addr: Ipv4Addr, query: &[u8]) -> Option<Vec<u8>> {
-        self.servers.get_mut(&addr)?.handle(query)
+    /// Delivers one query datagram to the server at `addr`, writing
+    /// the response into `out`; `false` when nobody answers.
+    fn handle_into(&mut self, addr: Ipv4Addr, query: &[u8], out: &mut WireBuf) -> bool {
+        self.servers
+            .get_mut(&addr)
+            .is_some_and(|s| s.handle_into(query, out))
     }
 }
 
@@ -357,30 +333,28 @@ pub struct ResolverStats {
     pub failures: u64,
 }
 
-/// One event on the resolution state machine.
+/// One event on the resolution state machine. Queries always concern
+/// the top frame of the resolution chain, so the events carry no name.
 #[derive(Debug)]
 enum ResolveEvent {
-    InitQuery {
-        name: Name,
-        qtype: RecordType,
-    },
+    InitQuery,
     QueryTarget {
         server: Ipv4Addr,
-        name: Name,
-        qtype: RecordType,
     },
     QueryResponse {
         server: Ipv4Addr,
-        bytes: Option<Vec<u8>>,
+        /// The response, in a buffer from the resolver's pool.
+        bytes: Option<WireBuf>,
     },
 }
 
 /// One link of the resolution chain: the name currently being resolved
-/// (CNAME rewrites replace it) and loop budgets. Glue chases push a
-/// fresh frame; its answer becomes the parent's next server address.
+/// (lowercased; CNAME rewrites replace it) and loop budgets. Glue
+/// chases push a fresh frame; its answer becomes the parent's next
+/// server address.
 #[derive(Debug)]
 struct Frame {
-    name: Name,
+    name: WireName,
     qtype: RecordType,
     cnames: u8,
     referrals: u8,
@@ -388,6 +362,12 @@ struct Frame {
 
 /// A recursive resolver over an [`Internet`], with a poisonable
 /// [`ResolverCache`] and a deterministic event trace.
+///
+/// A miss reuses everything it touches: the frame stack, the upstream
+/// query buffer and the pooled response buffers live on the resolver,
+/// names travel as inline [`WireName`]s, the authoritative servers
+/// answer into the pooled buffers, and trace lines are formatted
+/// straight into the trace.
 #[derive(Debug)]
 pub struct RecursiveResolver {
     seed: u64,
@@ -396,27 +376,13 @@ pub struct RecursiveResolver {
     trace: String,
     stats: ResolverStats,
     next_id: u16,
+    frames: Vec<Frame>,
+    query_buf: Vec<u8>,
+    pool: BufPool,
 }
 
 fn ip_link(addr: Ipv4Addr) -> u64 {
     u32::from(addr) as u64
-}
-
-/// Case-folds a name to its canonical lowercase form — the shape the
-/// resolver re-encodes every upstream query in.
-fn normalize(name: &Name) -> Name {
-    let labels = name
-        .labels()
-        .iter()
-        .map(|l| {
-            let mut buf = [0u8; cml_dns::MAX_LABEL_LEN];
-            let bytes = l.as_bytes();
-            buf[..bytes.len()].copy_from_slice(bytes);
-            buf[..bytes.len()].make_ascii_lowercase();
-            Label::from_bytes_relaxed(&buf[..bytes.len()]).expect("label length preserved")
-        })
-        .collect();
-    Name::from_labels(labels).expect("wire length preserved")
 }
 
 impl RecursiveResolver {
@@ -429,6 +395,9 @@ impl RecursiveResolver {
             trace: String::new(),
             stats: ResolverStats::default(),
             next_id: 1,
+            frames: Vec::new(),
+            query_buf: Vec::new(),
+            pool: BufPool::new(),
         }
     }
 
@@ -474,10 +443,10 @@ impl RecursiveResolver {
             .cache
             .poison(now, query, response, ttl_secs as SimTime * TICKS_PER_SEC);
         if stored {
-            let tag = wire_question(query)
-                .map(|(_, qt, _)| RecordType::from_u16(qt).to_string())
+            let tag = WireQuestion::parse(query)
+                .map(|q| RecordType::from_u16(q.qtype).to_string())
                 .unwrap_or_default();
-            self.trace_line(now, &format!("poisoned {tag} ttl={ttl_secs}s"));
+            self.trace_line(now, format_args!("poisoned {tag} ttl={ttl_secs}s"));
         }
         stored
     }
@@ -498,7 +467,8 @@ impl RecursiveResolver {
     /// [`handle_query`](Self::handle_query) into a reusable buffer:
     /// replaces `out`'s contents and returns `true`, or returns `false`
     /// on a dead end. The cache-hit path with a warm `out` is
-    /// allocation-free.
+    /// allocation-free; a miss on a canonical query allocates only
+    /// while decoding the upstream responses.
     pub fn handle_query_into(
         &mut self,
         net: &mut Internet,
@@ -511,82 +481,106 @@ impl RecursiveResolver {
         if self.cache.lookup_into(now, query, out) {
             return true;
         }
-        let client = match Message::decode(query) {
-            Ok(m) if !m.is_response() && !m.questions().is_empty() => m,
-            _ => {
-                self.stats.failures += 1;
-                return false;
-            }
+        let answered = match WireQuestion::parse(query) {
+            Some(q) => self
+                .run(net, q.qname, RecordType::from_u16(q.qtype))
+                .and_then(|msg| {
+                    let encoded = q.respond(Rcode::NoError, msg.answers(), &[], &[], out);
+                    encoded.ok().map(|()| msg)
+                }),
+            None => self.resolve_decoded(net, query, out),
         };
-        let question = client.questions()[0].clone();
-        let Some(answers) = self.run(net, question.qname(), question.qtype()) else {
+        let Some(msg) = answered else {
             self.stats.failures += 1;
             return false;
         };
-        let mut resp = Message::response_to(&client);
-        let mut ttl_secs = u32::MAX;
-        for a in answers {
-            ttl_secs = ttl_secs.min(a.ttl());
-            resp.push_answer(a);
-        }
-        let Ok(bytes) = resp.encode() else {
-            self.stats.failures += 1;
-            return false;
-        };
+        let ttl_secs = msg
+            .answers()
+            .iter()
+            .map(|a| a.ttl())
+            .min()
+            .unwrap_or(u32::MAX);
         self.cache.insert(
             self.sched.now(),
             query,
-            &bytes,
+            out,
             ttl_secs as SimTime * TICKS_PER_SEC,
         );
-        out.clear();
-        out.extend_from_slice(&bytes);
         true
     }
 
+    /// The miss path for client queries off the canonical shape:
+    /// decode, resolve the first question, echo every question. Returns
+    /// the final upstream answer with `out` holding the response.
+    fn resolve_decoded(
+        &mut self,
+        net: &mut Internet,
+        query: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Option<Message> {
+        let client = Message::decode(query)
+            .ok()
+            .filter(|m| !m.is_response() && !m.questions().is_empty())?;
+        let q = &client.questions()[0];
+        let msg = self.run(net, WireName::from(q.qname()), q.qtype())?;
+        let mut resp = Message::response_to(&client);
+        msg.answers()
+            .iter()
+            .for_each(|a| resp.push_answer(a.clone()));
+        *out = resp.encode().ok()?;
+        Some(msg)
+    }
+
     /// Drives the InitQuery → QueryTarget → QueryResponse machine to
-    /// completion for one question. Returns the final answer set.
-    fn run(&mut self, net: &mut Internet, name: &Name, qtype: RecordType) -> Option<Vec<Record>> {
+    /// completion for one question. Returns the decoded final response,
+    /// whose answer section is the answer set.
+    fn run(&mut self, net: &mut Internet, name: WireName, qtype: RecordType) -> Option<Message> {
         let root = net.root();
-        let mut stack = vec![Frame {
-            name: normalize(name),
+        self.frames.clear();
+        self.frames.push(Frame {
+            name: name.to_ascii_lowercase(),
             qtype,
             cnames: 0,
             referrals: 0,
-        }];
-        self.sched.schedule_in(
-            0,
-            ResolveEvent::InitQuery {
-                name: normalize(name),
-                qtype,
-            },
-        );
+        });
+        self.sched.schedule_in(0, ResolveEvent::InitQuery);
         while let Some((t, ev)) = self.sched.pop() {
             match ev {
-                ResolveEvent::InitQuery { name, qtype } => {
-                    self.trace_line(t, &format!("init {name} {qtype}"));
-                    self.send(root, name, qtype);
+                ResolveEvent::InitQuery => {
+                    let f = self.frames.last()?;
+                    let (name, qtype) = (f.name, f.qtype);
+                    self.trace_line(t, format_args!("init {name} {qtype}"));
+                    self.send(root);
                 }
-                ResolveEvent::QueryTarget {
-                    server,
-                    name,
-                    qtype,
-                } => {
-                    self.trace_line(t, &format!("-> {server} {name} {qtype}"));
+                ResolveEvent::QueryTarget { server } => {
+                    let f = self.frames.last()?;
+                    let (name, qtype) = (f.name, f.qtype);
+                    self.trace_line(t, format_args!("-> {server} {name} {qtype}"));
                     self.stats.upstream_queries += 1;
                     let id = self.next_id;
                     self.next_id = self.next_id.wrapping_add(1).max(1);
-                    let q = Message::query(id, Question::new(name, qtype));
-                    let bytes = q.encode().ok().and_then(|b| net.handle(server, &b));
+                    WireQuestion::encode_query(id, &name, qtype, &mut self.query_buf);
+                    let mut resp = self.pool.checkout();
+                    let bytes = if net.handle_into(server, &self.query_buf, &mut resp) {
+                        Some(resp)
+                    } else {
+                        self.pool.checkin(resp);
+                        None
+                    };
                     let idx = self.sched.events_scheduled();
                     let delay = link_latency_us(self.seed, ip_link(server), idx);
                     self.sched
                         .schedule_in(delay, ResolveEvent::QueryResponse { server, bytes });
                 }
                 ResolveEvent::QueryResponse { server, bytes } => {
-                    match self.on_response(net, &mut stack, t, server, bytes) {
+                    let step =
+                        self.on_response(root, t, server, bytes.as_ref().map(WireBuf::as_bytes));
+                    if let Some(b) = bytes {
+                        self.pool.checkin(b);
+                    }
+                    match step {
                         Step::Continue => {}
-                        Step::Done(answers) => return Some(answers),
+                        Step::Done(msg) => return Some(msg),
                         Step::Fail => return None,
                     }
                 }
@@ -596,150 +590,140 @@ impl RecursiveResolver {
     }
 
     /// Classifies one upstream response and advances the frame stack.
+    /// Whatever the server sent — a self-referral, a referral cycle, a
+    /// CNAME loop, silence or garbage — ends in a typed step: loops run
+    /// into the CNAME/referral budgets, never into a panic.
     fn on_response(
         &mut self,
-        net: &Internet,
-        stack: &mut Vec<Frame>,
+        root: Ipv4Addr,
         t: SimTime,
         server: Ipv4Addr,
-        bytes: Option<Vec<u8>>,
+        bytes: Option<&[u8]>,
     ) -> Step {
-        let _ = net;
-        let frame = stack.last_mut().expect("a response implies a frame");
         let Some(bytes) = bytes else {
-            self.trace_line(t, &format!("<- {server} silent"));
+            self.trace_line(t, format_args!("<- {server} silent"));
             return Step::Fail;
         };
-        let Ok(msg) = Message::decode(&bytes) else {
-            self.trace_line(t, &format!("<- {server} undecodable"));
+        let Ok(msg) = Message::decode(bytes) else {
+            self.trace_line(t, format_args!("<- {server} undecodable"));
             return Step::Fail;
         };
         if msg.header().rcode == Rcode::NxDomain {
-            self.trace_line(t, &format!("<- {server} nxdomain"));
+            self.trace_line(t, format_args!("<- {server} nxdomain"));
             return Step::Fail;
         }
+        let Some(frame) = self.frames.last() else {
+            return Step::Fail;
+        };
+        let (name, qtype) = (frame.name, frame.qtype);
+        let is_name = |n: &Name| WireName::from(n).eq_ignore_case(&name);
         // A final answer: records of the asked type at the asked name.
         let done = msg
             .answers()
             .iter()
-            .any(|r| r.rtype() == frame.qtype && r.name().eq_ignore_case(&frame.name));
+            .any(|r| r.rtype() == qtype && is_name(r.name()));
         if done {
-            self.trace_line(
-                t,
-                &format!("<- {server} answer ({} records)", msg.answers().len()),
-            );
-            let answers: Vec<Record> = msg.answers().to_vec();
-            stack.pop();
-            if stack.is_empty() {
-                return Step::Done(answers);
+            let n = msg.answers().len();
+            self.trace_line(t, format_args!("<- {server} answer ({n} records)"));
+            self.frames.pop();
+            if self.frames.is_empty() {
+                return Step::Done(msg);
             }
             // A finished glue chase: the first address becomes the
             // parent frame's next server.
-            let addr = answers.iter().find_map(|r| match r.data() {
+            let addr = msg.answers().iter().find_map(|r| match r.data() {
                 RecordData::A(a) => Some(*a),
                 _ => None,
             });
             let Some(addr) = addr else {
                 return Step::Fail;
             };
-            let parent = stack.last().expect("just checked non-empty");
-            let (name, qtype) = (parent.name.clone(), parent.qtype);
-            self.trace_line(t, &format!("glue resolved -> {addr}"));
-            self.send(addr, name, qtype);
+            self.trace_line(t, format_args!("glue resolved -> {addr}"));
+            self.send(addr);
             return Step::Continue;
         }
         // A CNAME for the current name: rewrite and restart at the root.
         let cname = msg.answers().iter().find_map(|r| match r.data() {
-            RecordData::Cname(target) if r.name().eq_ignore_case(&frame.name) => Some(target),
+            RecordData::Cname(target) if is_name(r.name()) => Some(target),
             _ => None,
         });
         if let Some(target) = cname {
+            let Some(frame) = self.frames.last_mut() else {
+                return Step::Fail;
+            };
             frame.cnames += 1;
             if frame.cnames > MAX_CNAME_FOLLOWS {
-                self.trace_line(t, "cname loop");
+                self.trace_line(t, format_args!("cname loop"));
                 return Step::Fail;
             }
-            frame.name = normalize(target);
+            frame.name = WireName::from(target).to_ascii_lowercase();
+            let name = frame.name;
             self.stats.cname_follows += 1;
-            self.trace_line(t, &format!("<- {server} cname -> {}", frame.name));
-            let (name, qtype) = (frame.name.clone(), frame.qtype);
-            let root = self.root_of(net);
-            self.send(root, name, qtype);
+            self.trace_line(t, format_args!("<- {server} cname -> {name}"));
+            self.send(root);
             return Step::Continue;
         }
         // A referral: NS in the authority section, maybe glue in the
         // additional section.
         let ns = msg.authorities().iter().find_map(|r| match r.data() {
-            RecordData::Ns(target) => Some((r.name().clone(), target.clone())),
+            RecordData::Ns(target) => Some((r.name(), target)),
             _ => None,
         });
         if let Some((cut, ns_name)) = ns {
+            let Some(frame) = self.frames.last_mut() else {
+                return Step::Fail;
+            };
             frame.referrals += 1;
             if frame.referrals > MAX_REFERRALS {
-                self.trace_line(t, "referral loop");
+                self.trace_line(t, format_args!("referral loop"));
                 return Step::Fail;
             }
             self.stats.referrals += 1;
             let glue = msg.additionals().iter().find_map(|r| match r.data() {
-                RecordData::A(a) if r.name().eq_ignore_case(&ns_name) => Some(*a),
+                RecordData::A(a) if r.name().eq_ignore_case(ns_name) => Some(*a),
                 _ => None,
             });
             if let Some(addr) = glue {
                 self.trace_line(
                     t,
-                    &format!("<- {server} referral {cut} -> {ns_name} ({addr})"),
+                    format_args!("<- {server} referral {cut} -> {ns_name} ({addr})"),
                 );
-                let (name, qtype) = {
-                    let f = stack.last().expect("frame still current");
-                    (f.name.clone(), f.qtype)
-                };
-                self.send(addr, name, qtype);
+                self.send(addr);
             } else {
                 // Glue chase: resolve the nameserver's address first.
                 self.trace_line(
                     t,
-                    &format!("<- {server} referral {cut} -> {ns_name} (no glue)"),
+                    format_args!("<- {server} referral {cut} -> {ns_name} (no glue)"),
                 );
                 self.stats.glue_chases += 1;
-                if stack.len() > MAX_REFERRALS as usize {
+                if self.frames.len() > MAX_REFERRALS as usize {
                     return Step::Fail;
                 }
-                let chase = Frame {
-                    name: normalize(&ns_name),
+                self.frames.push(Frame {
+                    name: WireName::from(ns_name).to_ascii_lowercase(),
                     qtype: RecordType::A,
                     cnames: 0,
                     referrals: 0,
-                };
-                let (name, qtype) = (chase.name.clone(), chase.qtype);
-                stack.push(chase);
-                let root = self.root_of(net);
-                self.send(root, name, qtype);
+                });
+                self.send(root);
             }
             return Step::Continue;
         }
-        self.trace_line(t, &format!("<- {server} dead end"));
+        self.trace_line(t, format_args!("<- {server} dead end"));
         Step::Fail
     }
 
-    fn root_of(&self, net: &Internet) -> Ipv4Addr {
-        net.root
-    }
-
-    /// Schedules a QueryTarget after one seeded latency draw.
-    fn send(&mut self, server: Ipv4Addr, name: Name, qtype: RecordType) {
+    /// Schedules a QueryTarget for the top frame after one seeded
+    /// latency draw.
+    fn send(&mut self, server: Ipv4Addr) {
         let idx = self.sched.events_scheduled();
         let delay = link_latency_us(self.seed, ip_link(server), idx);
-        self.sched.schedule_in(
-            delay,
-            ResolveEvent::QueryTarget {
-                server,
-                name,
-                qtype,
-            },
-        );
+        self.sched
+            .schedule_in(delay, ResolveEvent::QueryTarget { server });
     }
 
-    fn trace_line(&mut self, t: SimTime, line: &str) {
+    /// Appends one stamped line, formatted straight into the trace.
+    fn trace_line(&mut self, t: SimTime, line: fmt::Arguments<'_>) {
         use std::fmt::Write;
         let _ = writeln!(self.trace, "[{t:>10}us] {line}");
     }
@@ -748,7 +732,8 @@ impl RecursiveResolver {
 /// Control-flow result of classifying one response.
 enum Step {
     Continue,
-    Done(Vec<Record>),
+    /// The final response; its answer section is the answer set.
+    Done(Message),
     Fail,
 }
 
@@ -803,6 +788,7 @@ pub fn example_internet() -> (Internet, Name) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cml_dns::{Question, Record};
 
     fn a_query(id: u16, name: &str) -> Vec<u8> {
         Message::query(id, Question::new(Name::parse(name).unwrap(), RecordType::A))

@@ -162,6 +162,45 @@ fn steady_state_template_and_packet_path_is_allocation_free() {
     // is allocation-free — the path the million-QPS headline times.
     use connman_lab::netsim::{example_internet, RecursiveResolver};
 
+    // Resolver miss budget: one cold recursive miss over the demo
+    // topology — root and TLD referrals, the CNAME to edge.cdn.example,
+    // the glue chase for cdnns.vendor.example, nine upstream round
+    // trips. Once a first resolution has sized the frame stack, buffer
+    // pool, scheduler heap and trace, the same miss after the answer
+    // expired allocates only while decoding the nine upstream
+    // responses. The budget pins that count with under 10% headroom so
+    // the miss path cannot quietly regrow.
+    const COLD_MISS_ALLOC_BUDGET: u64 = 58;
+    let (mut net, www) = example_internet();
+    let mut resolver = RecursiveResolver::new(0x5EED, 64);
+    let wq = Message::query(0x3112, Question::new(www, RecordType::A))
+        .encode()
+        .expect("encodes");
+    let mut rbuf = Vec::new();
+    assert!(resolver.handle_query_into(&mut net, &wq, &mut rbuf));
+    let upstream_per_miss = resolver.stats().upstream_queries;
+    let expire = |r: &mut RecursiveResolver| {
+        r.clear_trace();
+        r.advance_to(r.now() + 3_600 * connman_lab::netsim::TICKS_PER_SEC);
+    };
+    expire(&mut resolver);
+    assert!(resolver.handle_query_into(&mut net, &wq, &mut rbuf));
+    expire(&mut resolver);
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    assert!(resolver.handle_query_into(&mut net, &wq, &mut rbuf));
+    let cold_miss_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        resolver.stats().upstream_queries,
+        3 * upstream_per_miss,
+        "each of the three resolutions missed and recursed"
+    );
+    println!("cold miss: {cold_miss_allocs} allocations over {upstream_per_miss} upstream queries");
+    assert!(
+        cold_miss_allocs <= COLD_MISS_ALLOC_BUDGET,
+        "cold miss took {cold_miss_allocs} allocations, budget {COLD_MISS_ALLOC_BUDGET}"
+    );
+
     let (mut net, _) = example_internet();
     let mut resolver = RecursiveResolver::new(0x5EED, 64);
     let rq = Message::query(
