@@ -67,19 +67,12 @@ echo "==> repro --bench-smoke"
 # Tiny-iteration snapshot/dispatch/template/pool/resolver/decode
 # ablations, compared against the newest committed BENCH_*.json (fails on
 # a >2x regression of the snapshot insn advantage, the template_vs_rebuild
-# wall advantage or the IR-over-block dispatch speedup, a >4x regression
-# of any per-ISA decode-table-vs-hand-rolled ratio, a >20x collapse of the warm
-# resolver-cache throughput or the RISC-V fuzz execs/sec, or any
-# allocation on the warm cache-hit path; each guard skips with a note when
-# the baseline predates its record).
+# wall advantage or the IR-over-per-instruction dispatch speedup, a >4x
+# regression of any per-ISA decode-table-vs-hand-rolled ratio, a >20x
+# collapse of the warm resolver-cache throughput or the RISC-V fuzz
+# execs/sec, or any allocation on the warm cache-hit path; each guard
+# skips with a note when the baseline predates its record).
 cargo run --release --offline -q -p cml-bench --bin repro -- --bench-smoke
-
-echo "==> interpreter fallback (--no-ir)"
-# The same gates with threaded-code IR dispatch pinned off, so the
-# fused-block fallback path stays green and the smoke guards skip
-# rather than compare IR numbers that were never produced.
-cargo run --release --offline -q -p connman-lab --bin cml -- fuzz --smoke --jobs 2 --no-ir
-cargo run --release --offline -q -p cml-bench --bin repro -- --bench-smoke --no-ir
 
 echo "==> cargo doc --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q

@@ -16,9 +16,6 @@
 //!                       # baseline exists
 //! repro --no-snapshot   # boot every E8 trial from scratch instead of
 //!                       # forking a per-entropy-level snapshot
-//! repro --no-ir         # pin the whole run to fused-block dispatch
-//!                       # (threaded-code IR off), the CI fallback lane
-
 //! repro --sanitize      # run the 9-cell exploit matrix under the VM
 //!                       # shadow-memory sanitizer and print precise
 //!                       # overflow diagnostics per cell
@@ -108,7 +105,6 @@ fn main() {
             "--bench-smoke" => bench_smoke = true,
             "--sanitize" => sanitize = true,
             "--no-snapshot" => snapshot = false,
-            "--no-ir" => cml_vm::set_ir_dispatch_default(false),
             "--jobs" => {
                 jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--jobs wants a number, using 1");
@@ -119,7 +115,7 @@ fn main() {
                 eprintln!(
                     "usage: repro [--exp e1 e2 …] [--out FILE] [--json] \
                      [--jobs N] [--bench-json|--timings] [--bench-smoke] \
-                     [--no-snapshot] [--no-ir] [--sanitize]"
+                     [--no-snapshot] [--sanitize]"
                 );
                 return;
             }
@@ -225,13 +221,9 @@ struct Ablations {
     fresh_wall_secs: f64,
     forked_wall_secs: f64,
     /// Wall seconds for the same hot-loop run under threaded-code IR
-    /// dispatch vs. fused basic-block dispatch vs. forced
-    /// per-instruction stepping (same insn counts — the modes are
-    /// semantically identical; only dispatch cost moves). Under
-    /// `--no-ir` the IR arm inherits the disabled default and measures
-    /// the block path again.
+    /// dispatch vs. per-instruction stepping (same insn counts — the
+    /// paths are semantically identical; only dispatch cost moves).
     ir_wall_secs: f64,
-    block_wall_secs: f64,
     insn_wall_secs: f64,
     /// Executed instructions per run in both dispatch arms.
     dispatch_insns: u64,
@@ -326,15 +318,9 @@ impl Ablations {
         self.resolver_alloc_wall_secs / self.resolver_cached_wall_secs.max(1e-12)
     }
 
-    /// Fused-block advantage over per-instruction stepping.
-    fn block_vs_insn_ratio(&self) -> f64 {
-        self.insn_wall_secs / self.block_wall_secs.max(1e-12)
-    }
-
-    /// Threaded-code IR advantage over fused-block dispatch (the PR 6
-    /// tentpole metric; ≥ 5.0 is the acceptance bar).
-    fn ir_vs_block_ratio(&self) -> f64 {
-        self.block_wall_secs / self.ir_wall_secs.max(1e-12)
+    /// Threaded-code IR advantage over per-instruction stepping.
+    fn ir_vs_insn_ratio(&self) -> f64 {
+        self.insn_wall_secs / self.ir_wall_secs.max(1e-12)
     }
 
     /// Wall cost of the coverage bitmap: armed / disarmed (≥ 1.0 means
@@ -366,8 +352,7 @@ impl Ablations {
         format!(
             "snapshot_vs_reboot: {} vs {} insns/trial ({:.1}x fewer), \
              {:.3}s vs {:.3}s over {} trials\n\
-             block_vs_insn: {:.3}s vs {:.3}s for {} insns/trial ({:.1}x)\n\
-             ir_vs_block: {:.3}s vs {:.3}s for the same loop ({:.1}x)\n\
+             ir_vs_insn: {:.3}s vs {:.3}s for {} insns/trial ({:.1}x)\n\
              template_vs_rebuild: {:.4}s rebuild vs {:.4}s relocate \
              ({:.1}x cheaper wall; {} vs {} allocs/build)\n\
              pooled_vs_alloc: {:.4}s alloc vs {:.4}s pooled over {} queries \
@@ -385,13 +370,10 @@ impl Ablations {
             self.fresh_wall_secs,
             self.forked_wall_secs,
             self.trials,
-            self.block_wall_secs,
+            self.ir_wall_secs,
             self.insn_wall_secs,
             self.dispatch_insns,
-            self.block_vs_insn_ratio(),
-            self.ir_wall_secs,
-            self.block_wall_secs,
-            self.ir_vs_block_ratio(),
+            self.ir_vs_insn_ratio(),
             self.rebuild_wall_secs,
             self.template_wall_secs,
             self.template_wall_ratio(),
@@ -461,28 +443,18 @@ fn run_ablations(trials: u64) -> Ablations {
     let forked_wall_secs = t0.elapsed().as_secs_f64();
 
     // Dispatch ablation: a daemon_init-shaped hot loop (the dominant
-    // straight-line/backward-branch mix the fused dispatcher targets)
-    // under threaded-code IR dispatch vs. fused basic-block dispatch
-    // vs. per-instruction stepping. The IR arm inherits the process
-    // default so `--no-ir` measures the fallback honestly; the block
-    // arm pins IR off so its number stays comparable to PR 3.
-    // Trials interleave the three arms round-robin and time only the
-    // `run()` call, so slow machine phases hit every arm equally and
-    // setup cost stays out of the ratio.
-    let mut dispatch = [0.0f64; 3];
+    // straight-line/backward-branch mix IR dispatch targets) under
+    // threaded-code IR dispatch vs. per-instruction stepping. Trials
+    // interleave the two arms and time only the `run()` call, so slow
+    // machine phases hit both arms equally and setup cost stays out of
+    // the ratio.
+    let mut dispatch = [0.0f64; 2];
     let mut dispatch_insns = 0u64;
     for _ in 0..trials {
         let mut insns = 0u64;
-        for (slot, ir_on, blocks_on) in [
-            (0usize, None, true),
-            (1, Some(false), true),
-            (2, Some(false), false),
-        ] {
+        for (slot, ir_on) in [(0usize, true), (1, false)] {
             let mut m = dispatch_loop_machine();
-            if let Some(on) = ir_on {
-                m.set_ir_dispatch_enabled(on);
-            }
-            m.set_block_dispatch_enabled(blocks_on);
+            m.set_ir_dispatch_enabled(ir_on);
             let t0 = Instant::now();
             m.run(1_000_000);
             dispatch[slot] += t0.elapsed().as_secs_f64();
@@ -762,8 +734,7 @@ fn run_ablations(trials: u64) -> Ablations {
         fresh_wall_secs,
         forked_wall_secs,
         ir_wall_secs: dispatch[0],
-        block_wall_secs: dispatch[1],
-        insn_wall_secs: dispatch[2],
+        insn_wall_secs: dispatch[1],
         dispatch_insns,
         rebuild_wall_secs,
         template_wall_secs,
@@ -919,22 +890,24 @@ fn smoke_vs_baseline() -> i32 {
         failed = true;
     }
 
-    if cml_vm::ir_dispatch_default() {
-        let ratio = current.ir_vs_block_ratio();
-        match json_number_after(&doc, "\"ir_vs_block\"", "\"wall_ratio\":") {
-            Some(baseline) => {
-                println!(
-                    "bench-smoke: IR-vs-block wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-                );
-                if ratio < baseline / 2.0 {
-                    println!("bench-smoke: FAIL — IR dispatch advantage regressed by more than 2x");
-                    failed = true;
-                }
+    let ratio = current.ir_vs_insn_ratio();
+    // Older baselines record the two arms under `block_vs_insn` and
+    // `ir_vs_block`; the first match of each key under `ablations` is
+    // the right arm in both layouts.
+    let insn = json_number_after(&doc, "\"ablations\"", "\"insn_wall_secs\":");
+    let ir = json_number_after(&doc, "\"ablations\"", "\"ir_wall_secs\":");
+    match insn.zip(ir) {
+        Some((insn, ir)) if ir > 0.0 => {
+            let baseline = insn / ir;
+            println!(
+                "bench-smoke: IR-vs-insn wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
+            );
+            if ratio < baseline / 2.0 {
+                println!("bench-smoke: FAIL — IR dispatch advantage regressed by more than 2x");
+                failed = true;
             }
-            None => println!("bench-smoke: baseline {path} has no ir_vs_block — skipping"),
         }
-    } else {
-        println!("bench-smoke: IR dispatch disabled (--no-ir) — skipping ir_vs_block guard");
+        _ => println!("bench-smoke: baseline {path} has no IR and insn dispatch walls — skipping"),
     }
 
     let ratio = current.fork_vs_reboot_fuzz_ratio();
@@ -1380,10 +1353,8 @@ fn bench_json_doc(
     let abl = format!(
         "{{\"snapshot_vs_reboot\":{{\"trials\":{},\"fresh_insns_per_trial\":{},\
          \"forked_insns_per_trial\":{},\"insn_ratio\":{:.2},\"fresh_wall_secs\":{:.6},\
-         \"forked_wall_secs\":{:.6}}},\"block_vs_insn\":{{\"trials\":{},\
-         \"insns_per_trial\":{},\"block_wall_secs\":{:.6},\"insn_wall_secs\":{:.6},\
-         \"wall_ratio\":{:.2}}},\"ir_vs_block\":{{\"trials\":{},\
-         \"insns_per_trial\":{},\"ir_wall_secs\":{:.6},\"block_wall_secs\":{:.6},\
+         \"forked_wall_secs\":{:.6}}},\"ir_vs_insn\":{{\"trials\":{},\
+         \"insns_per_trial\":{},\"ir_wall_secs\":{:.6},\"insn_wall_secs\":{:.6},\
          \"wall_ratio\":{:.2}}},\
          \"template_vs_rebuild\":{{\"builds\":{},\"rebuild_wall_secs\":{:.6},\
          \"template_wall_secs\":{:.6},\"wall_ratio\":{:.2},\
@@ -1412,14 +1383,9 @@ fn bench_json_doc(
         ablations.forked_wall_secs,
         ablations.trials,
         ablations.dispatch_insns,
-        ablations.block_wall_secs,
-        ablations.insn_wall_secs,
-        ablations.block_vs_insn_ratio(),
-        ablations.trials,
-        ablations.dispatch_insns,
         ablations.ir_wall_secs,
-        ablations.block_wall_secs,
-        ablations.ir_vs_block_ratio(),
+        ablations.insn_wall_secs,
+        ablations.ir_vs_insn_ratio(),
         ablations.pooled_queries,
         ablations.rebuild_wall_secs,
         ablations.template_wall_secs,

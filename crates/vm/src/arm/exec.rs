@@ -40,7 +40,7 @@ pub(crate) fn decode_at(m: &mut Machine, pc: Addr) -> Result<Insn, Fault> {
     }
 }
 
-/// Whether `insn` terminates a fused basic block: explicit branches,
+/// Whether `insn` terminates a basic block: explicit branches,
 /// returns, traps, and any data-processing/load form whose destination
 /// is the pc.
 pub(crate) fn ends_block(insn: &Insn) -> bool {
@@ -79,8 +79,8 @@ pub(crate) fn step(m: &mut Machine) -> Result<Option<RunOutcome>, Fault> {
 }
 
 /// Executes an already-decoded instruction at `pc` — the semantic half
-/// of [`step`], shared with the fused-block dispatcher so both modes
-/// are one implementation.
+/// of [`step`], shared with the IR dispatcher's `Exec` fallback so
+/// both paths are one implementation.
 pub(crate) fn exec_insn(
     m: &mut Machine,
     insn: Insn,

@@ -11,34 +11,21 @@
 //! correct while the hot path is a single probe of an open-addressing
 //! table.
 //!
+//! Two tables share that invalidation state: per-instruction decodes
+//! (the reference path's, and the input of block formation) and the
+//! lowered IR blocks built from them.
+//!
 //! Invalidation is deliberately coarse (any write to a page that holds
-//! cached decodes flushes the whole table): flushes are rare — code is
+//! cached decodes flushes both tables): flushes are rare — code is
 //! written in bursts and then executed — and coarse flushing keeps the
 //! write path to one compare in the common sequential-write case.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cml_image::Addr;
 
 use crate::ir::IrBlock;
 use crate::{arm, riscv, x86};
-
-/// Process-wide default for the threaded-code IR dispatcher, read when a
-/// [`DecodeCache`] (and so a machine) is created. Lets the bench/CLI
-/// layer force the interpreter fallback for every machine a campaign
-/// spawns without plumbing a flag through the firmware constructors.
-pub(crate) static IR_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Reads [`IR_DEFAULT`].
-pub(crate) fn ir_default() -> bool {
-    IR_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Writes [`IR_DEFAULT`].
-pub(crate) fn set_ir_default(on: bool) {
-    IR_DEFAULT.store(on, Ordering::Relaxed);
-}
 
 /// Pages are the invalidation granule.
 pub(crate) const PAGE_SIZE: u32 = 0x1000;
@@ -67,84 +54,21 @@ impl CachedInsn {
     }
 }
 
-/// A fused basic block: a straight-line run of predecoded instructions
-/// ending at the first control-flow instruction (or a hook/decode
-/// boundary). Executed as a unit by [`Machine::run`](crate::Machine),
-/// with one table probe instead of one per instruction.
-#[derive(Debug)]
-pub(crate) struct Block {
-    /// The decoded instructions, in address order.
-    pub(crate) insns: Vec<CachedInsn>,
-}
-
+/// Open-addressing pc → `V` table, the storage behind both halves of
+/// the [`DecodeCache`]. Starts empty (a machine that never executes
+/// pays nothing) and grows geometrically from a small table, so
+/// short-lived machines pay a few hundred nanoseconds at most.
 #[derive(Debug, Clone)]
-struct BlockEntry {
-    pc: Addr,
-    block: Arc<Block>,
-}
-
-#[derive(Debug, Clone)]
-struct IrEntry {
-    pc: Addr,
-    block: Arc<IrBlock>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    pc: Addr,
-    insn: CachedInsn,
-}
-
-/// Open-addressing pc → decoded-instruction table.
-///
-/// Starts empty (a machine that never executes pays nothing), grows
-/// geometrically from a small table so short-lived machines pay a few
-/// hundred nanoseconds at most.
-#[derive(Debug, Clone)]
-pub(crate) struct DecodeCache {
-    enabled: bool,
-    /// Whether fused-block dispatch may use the block table (per-insn
-    /// entries stay usable either way).
-    blocks_enabled: bool,
-    /// Whether the threaded-code IR dispatcher may use the IR table
-    /// (block and per-insn entries stay usable either way).
-    ir_enabled: bool,
-    slots: Vec<Option<Entry>>,
+struct PcTable<V> {
+    slots: Vec<Option<(Addr, V)>>,
     len: usize,
-    block_slots: Vec<Option<BlockEntry>>,
-    block_len: usize,
-    ir_slots: Vec<Option<IrEntry>>,
-    ir_len: usize,
-    /// Sorted page bases that contain (or contribute bytes to) cached
-    /// decodes. Writes consult this to decide whether to flush.
-    code_pages: Vec<u32>,
-    /// Last page verified *not* to hold cached decodes — dedups the
-    /// `code_pages` lookup for sequential write bursts.
-    last_clean_page: Option<u32>,
-    /// Bumped on every flush; the block executor snapshots it so a
-    /// self-modifying write mid-block aborts fused dispatch.
-    generation: u64,
-    hits: u64,
-    misses: u64,
 }
 
-impl Default for DecodeCache {
+impl<V> Default for PcTable<V> {
     fn default() -> Self {
-        DecodeCache {
-            enabled: true,
-            blocks_enabled: true,
-            ir_enabled: ir_default(),
+        PcTable {
             slots: Vec::new(),
             len: 0,
-            block_slots: Vec::new(),
-            block_len: 0,
-            ir_slots: Vec::new(),
-            ir_len: 0,
-            code_pages: Vec::new(),
-            last_clean_page: None,
-            generation: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 }
@@ -155,95 +79,24 @@ fn hash(pc: Addr) -> usize {
     (pc.wrapping_mul(0x9E37_79B1)) as usize
 }
 
-impl DecodeCache {
-    /// Turns the cache on or off (off = decode every step; used by the
-    /// ablation benchmark). Disabling drops all cached decodes.
-    pub(crate) fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-        if !on {
-            self.flush();
-            self.slots = Vec::new();
-            self.block_slots = Vec::new();
-            self.ir_slots = Vec::new();
-        }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Turns fused-block dispatch on or off (on by default; the
-    /// `block_vs_insn` ablation runs with it off). Per-instruction
-    /// caching is unaffected. Disabling drops all cached blocks.
-    pub(crate) fn set_blocks_enabled(&mut self, on: bool) {
-        self.blocks_enabled = on;
-        if !on && self.block_len > 0 {
-            self.block_slots = Vec::new();
-            self.block_len = 0;
-        }
-    }
-
-    pub(crate) fn blocks_enabled(&self) -> bool {
-        self.blocks_enabled
-    }
-
-    /// Turns the threaded-code IR dispatcher on or off for this machine
-    /// (the `ir_vs_block` ablation and the CI interpreter-fallback run
-    /// turn it off). Disabling drops all lowered blocks.
-    pub(crate) fn set_ir_enabled(&mut self, on: bool) {
-        self.ir_enabled = on;
-        if !on && self.ir_len > 0 {
-            self.ir_slots = Vec::new();
-            self.ir_len = 0;
-        }
-    }
-
-    pub(crate) fn ir_enabled(&self) -> bool {
-        self.ir_enabled
-    }
-
-    /// Flush-generation counter; bumped whenever cached state is dropped.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// `(hits, misses)` counters.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Looks up a memoised decode. A hit is valid by construction: any
-    /// mutation since insertion would have flushed the table.
-    pub(crate) fn get(&mut self, pc: Addr) -> Option<CachedInsn> {
-        if !self.enabled {
-            return None;
-        }
+impl<V: Clone> PcTable<V> {
+    fn get(&self, pc: Addr) -> Option<&V> {
         if self.slots.is_empty() {
-            self.misses += 1;
             return None;
         }
         let mask = self.slots.len() - 1;
         let mut i = hash(pc) & mask;
         loop {
-            match self.slots[i] {
-                Some(e) if e.pc == pc => {
-                    self.hits += 1;
-                    return Some(e.insn);
-                }
+            match &self.slots[i] {
+                Some((at, v)) if *at == pc => return Some(v),
                 Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.misses += 1;
-                    return None;
-                }
+                None => return None,
             }
         }
     }
 
-    /// Memoises a successful decode of `byte_len` bytes at `pc`.
-    pub(crate) fn insert(&mut self, pc: Addr, insn: CachedInsn, byte_len: u32) {
-        if !self.enabled {
-            return;
-        }
+    /// Inserts `v` at `pc` unless an entry is already there.
+    fn insert(&mut self, pc: Addr, v: V) {
         if self.slots.len() * 3 <= (self.len + 1) * 4 {
             self.grow();
         }
@@ -251,167 +104,14 @@ impl DecodeCache {
         let mut i = hash(pc) & mask;
         loop {
             match &self.slots[i] {
-                Some(e) if e.pc == pc => break,
+                Some((at, _)) if *at == pc => return,
                 Some(_) => i = (i + 1) & mask,
                 None => {
-                    self.slots[i] = Some(Entry { pc, insn });
+                    self.slots[i] = Some((pc, v));
                     self.len += 1;
-                    break;
+                    return;
                 }
             }
-        }
-        // Record every page the encoding touches so writes to any of
-        // them (including the tail page of a straddling x86 insn) flush.
-        let first = pc & PAGE_MASK;
-        let last = pc.wrapping_add(byte_len.saturating_sub(1)) & PAGE_MASK;
-        self.note_code_page(first);
-        if last != first {
-            self.note_code_page(last);
-        }
-    }
-
-    /// Looks up a fused block starting at `pc`. Like per-insn entries, a
-    /// hit is valid by construction (push invalidation).
-    pub(crate) fn get_block(&mut self, pc: Addr) -> Option<Arc<Block>> {
-        if !self.enabled || !self.blocks_enabled || self.block_slots.is_empty() {
-            return None;
-        }
-        let mask = self.block_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.block_slots[i] {
-                Some(e) if e.pc == pc => return Some(Arc::clone(&e.block)),
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
-        }
-    }
-
-    /// Memoises a fused block whose encodings span `span` bytes at `pc`.
-    pub(crate) fn insert_block(&mut self, pc: Addr, block: Arc<Block>, span: u32) {
-        if !self.enabled || !self.blocks_enabled {
-            return;
-        }
-        if self.block_slots.len() * 3 <= (self.block_len + 1) * 4 {
-            self.grow_blocks();
-        }
-        let mask = self.block_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.block_slots[i] {
-                Some(e) if e.pc == pc => break,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.block_slots[i] = Some(BlockEntry { pc, block });
-                    self.block_len += 1;
-                    break;
-                }
-            }
-        }
-        // Every page the block's encodings touch must flush on write.
-        let mut page = pc & PAGE_MASK;
-        let last = pc.wrapping_add(span.saturating_sub(1)) & PAGE_MASK;
-        loop {
-            self.note_code_page(page);
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
-        }
-    }
-
-    /// Looks up a lowered IR block starting at `pc`. Valid by
-    /// construction, like the other two tables (push invalidation), and
-    /// additionally hook-free by construction: hook registration flushes,
-    /// and the builder refuses hooked start addresses, so a hit never
-    /// needs the per-entry hook probe `step_block` pays.
-    pub(crate) fn get_ir(&mut self, pc: Addr) -> Option<Arc<IrBlock>> {
-        if !self.enabled || !self.ir_enabled || self.ir_slots.is_empty() {
-            return None;
-        }
-        let mask = self.ir_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.ir_slots[i] {
-                Some(e) if e.pc == pc => return Some(Arc::clone(&e.block)),
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
-        }
-    }
-
-    /// Memoises a lowered IR block whose encodings span `span` bytes.
-    pub(crate) fn insert_ir(&mut self, pc: Addr, block: Arc<IrBlock>, span: u32) {
-        if !self.enabled || !self.ir_enabled {
-            return;
-        }
-        if self.ir_slots.len() * 3 <= (self.ir_len + 1) * 4 {
-            self.grow_ir();
-        }
-        let mask = self.ir_slots.len() - 1;
-        let mut i = hash(pc) & mask;
-        loop {
-            match &self.ir_slots[i] {
-                Some(e) if e.pc == pc => break,
-                Some(_) => i = (i + 1) & mask,
-                None => {
-                    self.ir_slots[i] = Some(IrEntry { pc, block });
-                    self.ir_len += 1;
-                    break;
-                }
-            }
-        }
-        let mut page = pc & PAGE_MASK;
-        let last = pc.wrapping_add(span.saturating_sub(1)) & PAGE_MASK;
-        loop {
-            self.note_code_page(page);
-            if page == last {
-                break;
-            }
-            page = page.wrapping_add(PAGE_SIZE);
-        }
-    }
-
-    fn grow_ir(&mut self) {
-        let cap = if self.ir_slots.is_empty() {
-            INITIAL_SLOTS
-        } else {
-            self.ir_slots.len() * 4
-        };
-        let old = std::mem::replace(&mut self.ir_slots, vec![None; cap]);
-        let mask = cap - 1;
-        for e in old.into_iter().flatten() {
-            let mut i = hash(e.pc) & mask;
-            while self.ir_slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.ir_slots[i] = Some(e);
-        }
-    }
-
-    fn grow_blocks(&mut self) {
-        let cap = if self.block_slots.is_empty() {
-            INITIAL_SLOTS
-        } else {
-            self.block_slots.len() * 4
-        };
-        let old = std::mem::replace(&mut self.block_slots, vec![None; cap]);
-        let mask = cap - 1;
-        for e in old.into_iter().flatten() {
-            let mut i = hash(e.pc) & mask;
-            while self.block_slots[i].is_some() {
-                i = (i + 1) & mask;
-            }
-            self.block_slots[i] = Some(e);
-        }
-    }
-
-    fn note_code_page(&mut self, page: u32) {
-        if let Err(at) = self.code_pages.binary_search(&page) {
-            self.code_pages.insert(at, page);
-            // The page just became cache-backed; a previous "clean"
-            // verdict for it no longer holds.
-            self.last_clean_page = None;
         }
     }
 
@@ -424,11 +124,165 @@ impl DecodeCache {
         let old = std::mem::replace(&mut self.slots, vec![None; cap]);
         let mask = cap - 1;
         for e in old.into_iter().flatten() {
-            let mut i = hash(e.pc) & mask;
+            let mut i = hash(e.0) & mask;
             while self.slots[i].is_some() {
                 i = (i + 1) & mask;
             }
             self.slots[i] = Some(e);
+        }
+    }
+
+    /// Empties the table, keeping its capacity.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.iter_mut().for_each(|s| *s = None);
+            self.len = 0;
+        }
+    }
+}
+
+/// The predecoded-instruction cache: a per-instruction table (the
+/// reference path's decodes, which block formation also reads) and a
+/// lowered-IR table, sharing one push-invalidation state.
+#[derive(Debug, Clone)]
+pub(crate) struct DecodeCache {
+    enabled: bool,
+    /// Whether the threaded-code IR dispatcher may use the IR table
+    /// (per-insn entries stay usable either way).
+    ir_enabled: bool,
+    insns: PcTable<CachedInsn>,
+    ir: PcTable<Arc<IrBlock>>,
+    /// Sorted page bases that contain (or contribute bytes to) cached
+    /// decodes. Writes consult this to decide whether to flush.
+    code_pages: Vec<u32>,
+    /// Last page verified *not* to hold cached decodes — dedups the
+    /// `code_pages` lookup for sequential write bursts.
+    last_clean_page: Option<u32>,
+    /// Bumped on every flush; the IR dispatcher snapshots it so a
+    /// self-modifying write mid-block aborts the lowered block.
+    generation: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl Default for DecodeCache {
+    fn default() -> Self {
+        DecodeCache {
+            enabled: true,
+            ir_enabled: true,
+            insns: PcTable::default(),
+            ir: PcTable::default(),
+            code_pages: Vec::new(),
+            last_clean_page: None,
+            generation: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
+impl DecodeCache {
+    /// Turns the cache on or off (off = decode every step; used by the
+    /// ablation benchmark). Disabling drops all cached decodes.
+    pub(crate) fn set_enabled(&mut self, on: bool) {
+        self.enabled = on;
+        if !on {
+            self.flush();
+            self.insns = PcTable::default();
+            self.ir = PcTable::default();
+        }
+    }
+
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Turns the threaded-code IR dispatcher on or off for this machine
+    /// (off selects the per-instruction reference path). Disabling
+    /// drops all lowered blocks.
+    pub(crate) fn set_ir_enabled(&mut self, on: bool) {
+        self.ir_enabled = on;
+        if !on {
+            self.ir = PcTable::default();
+        }
+    }
+
+    pub(crate) fn ir_enabled(&self) -> bool {
+        self.ir_enabled
+    }
+
+    /// Flush-generation counter; bumped whenever cached state is dropped.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// `(hits, misses)` counters of the per-instruction table.
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    /// Looks up a memoised decode. A hit is valid by construction: any
+    /// mutation since insertion would have flushed the table.
+    pub(crate) fn get(&mut self, pc: Addr) -> Option<CachedInsn> {
+        if !self.enabled {
+            return None;
+        }
+        let hit = self.insns.get(pc).copied();
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Memoises a successful decode of `byte_len` bytes at `pc`.
+    pub(crate) fn insert(&mut self, pc: Addr, insn: CachedInsn, byte_len: u32) {
+        if !self.enabled {
+            return;
+        }
+        self.insns.insert(pc, insn);
+        // Record every page the encoding touches so writes to any of
+        // them (including the tail page of a straddling x86 insn) flush.
+        self.note_code_span(pc, byte_len);
+    }
+
+    /// Looks up a lowered IR block starting at `pc`. Valid by
+    /// construction, like per-insn entries (push invalidation), and
+    /// additionally hook-free by construction: hook registration
+    /// flushes, and the builder refuses hooked start addresses, so a hit
+    /// never needs a hook probe.
+    pub(crate) fn get_ir(&self, pc: Addr) -> Option<Arc<IrBlock>> {
+        if !self.enabled || !self.ir_enabled {
+            return None;
+        }
+        self.ir.get(pc).cloned()
+    }
+
+    /// Memoises a lowered IR block whose encodings span `span` bytes.
+    pub(crate) fn insert_ir(&mut self, pc: Addr, block: Arc<IrBlock>, span: u32) {
+        if !self.enabled || !self.ir_enabled {
+            return;
+        }
+        self.ir.insert(pc, block);
+        self.note_code_span(pc, span);
+    }
+
+    /// Marks every page of `[pc, pc + span)` as holding cached decodes.
+    fn note_code_span(&mut self, pc: Addr, span: u32) {
+        let mut page = pc & PAGE_MASK;
+        let last = pc.wrapping_add(span.saturating_sub(1)) & PAGE_MASK;
+        loop {
+            if let Err(at) = self.code_pages.binary_search(&page) {
+                self.code_pages.insert(at, page);
+                // The page just became cache-backed; a previous "clean"
+                // verdict for it no longer holds.
+                self.last_clean_page = None;
+            }
+            if page == last {
+                break;
+            }
+            page = page.wrapping_add(PAGE_SIZE);
         }
     }
 
@@ -460,22 +314,12 @@ impl DecodeCache {
         }
     }
 
-    /// Drops every cached decode and block (permission change, new
-    /// mapping, hook registration, snapshot restore, or a write to a
+    /// Drops every cached decode and lowered block (permission change,
+    /// new mapping, hook registration, snapshot restore, or a write to a
     /// cached page).
     pub(crate) fn flush(&mut self) {
-        if self.len > 0 {
-            self.slots.iter_mut().for_each(|s| *s = None);
-            self.len = 0;
-        }
-        if self.block_len > 0 {
-            self.block_slots.iter_mut().for_each(|s| *s = None);
-            self.block_len = 0;
-        }
-        if self.ir_len > 0 {
-            self.ir_slots.iter_mut().for_each(|s| *s = None);
-            self.ir_len = 0;
-        }
+        self.insns.clear();
+        self.ir.clear();
         self.code_pages.clear();
         self.last_clean_page = None;
         self.generation = self.generation.wrapping_add(1);
@@ -527,6 +371,21 @@ mod tests {
         c.insert(0x1FFE, CachedInsn::X86(x86::Insn::Nop, 5), 5);
         c.note_write(0x2001); // tail page of the straddling encoding
         assert!(c.get(0x1FFE).is_none());
+    }
+
+    #[test]
+    fn ir_table_shares_invalidation_but_not_stats() {
+        let mut c = DecodeCache::default();
+        let block = Arc::new(crate::ir::lower(&[x86_nop()], 0x1000));
+        c.insert_ir(0x1000, block, 1);
+        assert!(c.get_ir(0x1000).is_some());
+        assert!(c.get_ir(0x2000).is_none());
+        assert_eq!(c.stats(), (0, 0), "only per-insn probes are counted");
+        c.note_write(0x1004);
+        assert!(c.get_ir(0x1000).is_none(), "a write to its page orphans it");
+        c.set_ir_enabled(false);
+        c.insert_ir(0x1000, Arc::new(crate::ir::lower(&[x86_nop()], 0x1000)), 1);
+        assert!(c.get_ir(0x1000).is_none(), "IR off keeps the table empty");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Threaded-code IR: hot basic blocks lowered to superinstructions.
 //!
-//! PR 3's fused blocks removed fetch/decode from the hot path but still
-//! walk one [`CachedInsn`] at a time through the full `exec_insn` match,
-//! paying the architectural pc write, enum-wrapped register accesses,
+//! The per-instruction reference path walks one [`CachedInsn`] at a time
+//! through the full `exec_insn` match, paying a cache probe, the
+//! architectural pc write, enum-wrapped register accesses,
 //! byte-at-a-time memory, and a coverage `Option` probe per instruction.
-//! This module lowers each decoded block once into a linear array of
-//! [`IrOp`] *superinstructions* executed by a tight dispatch loop:
+//! This module lowers each decoded basic block once into a linear array
+//! of [`IrOp`] *superinstructions* executed by a tight dispatch loop:
 //!
 //! * **constant folding** — decoded operands become raw register
 //!   indices and immediates; ARM's architectural `pc+8` reads fold to
@@ -30,14 +30,15 @@
 //!   self-loop fast path); any other constant target chains straight
 //!   into its lowered block while budget remains.
 //!
-//! The contract is *byte-identical observable behaviour* versus block
-//! and per-instruction dispatch: same outcomes, faults (including fault
-//! pc fields and the pre-advanced pc convention), events, coverage map
-//! (vs block mode) and `insn_count`, enforced by `tests/ir.rs` and the
+//! The contract is *byte-identical observable behaviour* versus
+//! per-instruction dispatch: same outcomes, faults (including fault pc
+//! fields and the pre-advanced pc convention), events and `insn_count`,
+//! enforced by `tests/ir.rs` (which also pins the coverage map: one
+//! premixed edge per block entry), `crates/vm/tests/prop_isa.rs` and the
 //! unit suites. Invalidation reuses the decode cache's push model: the
-//! IR table lives beside the block table and is dropped by the same
-//! flushes, and the dispatch loop re-checks the flush generation after
-//! every op that can write memory.
+//! IR table lives beside the per-instruction table and is dropped by the
+//! same flushes, and the dispatch loop re-checks the flush generation
+//! after every op that can write memory.
 
 use std::sync::Arc;
 
@@ -326,10 +327,9 @@ pub(crate) struct IrBlock {
 
 /// Executes lowered IR starting at the current pc for up to `budget`
 /// guest instructions, falling back to a single [`Machine::step`] when
-/// no IR applies (hooked pc, undecodable bytes). Mirrors
-/// `Machine::step_block`'s contract: returns instructions consumed and
-/// the step result, leaving pc/insn_count exactly where per-instruction
-/// dispatch would.
+/// no IR applies (hooked pc, undecodable bytes). Returns instructions
+/// consumed and the step result, leaving pc/insn_count exactly where
+/// per-instruction dispatch would.
 pub(crate) fn step_ir(m: &mut Machine, budget: u64) -> (u64, Result<Option<RunOutcome>, Fault>) {
     let start = m.regs.pc();
     if m.hooks.contains_key(&start) {
@@ -347,11 +347,11 @@ pub(crate) fn step_ir(m: &mut Machine, budget: u64) -> (u64, Result<Option<RunOu
     (used, res)
 }
 
-/// Decodes (via the shared block builder, so boundaries are identical
-/// to block dispatch) and lowers the block at `start`.
+/// Decodes (via [`Machine::build_block`], which owns the block-boundary
+/// rules) and lowers the block at `start`.
 fn build_ir(m: &mut Machine, start: Addr) -> Option<Arc<IrBlock>> {
-    let block = m.build_block(start)?;
-    let ir = Arc::new(lower(&block.insns, start));
+    let insns = m.build_block(start)?;
+    let ir = Arc::new(lower(&insns, start));
     let span = ir.span;
     m.mem.dcache_insert_ir(start, Arc::clone(&ir), span);
     Some(ir)
@@ -632,8 +632,8 @@ fn exec_ir(
                         match res {
                             Ok(()) => {
                                 if m.mem.dcache_generation() != gen {
-                                    // Self-modifying store: abort like the
-                                    // block dispatcher, pc at fall-through.
+                                    // Self-modifying store: abort the
+                                    // block, pc at fall-through.
                                     m.regs.set_pc(ends[i]);
                                     return (used, Ok(None));
                                 }
@@ -988,8 +988,8 @@ impl Lowerer {
     }
 }
 
-/// Lowers a decoded block (shared boundaries with block dispatch — same
-/// builder) into an [`IrBlock`].
+/// Lowers a block decoded by [`Machine::build_block`] into an
+/// [`IrBlock`].
 pub(crate) fn lower(insns: &[CachedInsn], start: Addr) -> IrBlock {
     let mut lw = Lowerer {
         ops: Vec::with_capacity(insns.len() + 1),

@@ -57,18 +57,3 @@ pub use trace::{Trace, TraceEntry};
 
 /// Virtual address alias re-exported from the image crate.
 pub use cml_image::Addr;
-
-/// Sets the process-wide default for threaded-code IR dispatch; each
-/// [`Machine`] built afterwards starts with IR dispatch in this state
-/// (on unless changed). The `--no-ir` escape hatches in `cml fuzz` and
-/// `repro` use this to pin whole runs — including worker threads that
-/// build their own machines — to the fused-block fallback;
-/// [`Machine::set_ir_dispatch_enabled`] overrides it per machine.
-pub fn set_ir_dispatch_default(on: bool) {
-    dcache::set_ir_default(on);
-}
-
-/// The process-wide default for threaded-code IR dispatch.
-pub fn ir_dispatch_default() -> bool {
-    dcache::ir_default()
-}

@@ -2,21 +2,20 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use cml_image::{Addr, Arch};
 
 use crate::coverage::CoverageMap;
-use crate::dcache::{Block, CachedInsn};
+use crate::dcache::CachedInsn;
 use crate::hooks::{self, LibcFn};
 use crate::mem::{Memory, MemorySnapshot};
 use crate::regs::Regs;
 use crate::trace::{Trace, TraceEntry};
 use crate::{arm, riscv, x86, Fault};
 
-/// Fused blocks stop after this many instructions (straight-line runs
-/// longer than a real basic block are rare; bounding keeps block build
-/// cost and the budget-accounting granularity small).
+/// Blocks stop after this many instructions (straight-line runs longer
+/// than a real basic block are rare; bounding keeps lowering cost and
+/// the budget-accounting granularity small).
 const MAX_BLOCK: usize = 32;
 
 /// A simulated `/bin/sh` spawn — the goal state of every exploit in the
@@ -196,25 +195,10 @@ impl Machine {
         self.mem.dcache_stats()
     }
 
-    /// Turns fused basic-block dispatch on or off (on by default; the
-    /// `block_vs_insn` ablation runs with it off). Execution results are
-    /// byte-identical either way — blocks reuse the per-instruction
-    /// semantics and abort on any taken branch or code write.
-    pub fn set_block_dispatch_enabled(&mut self, on: bool) {
-        self.mem.dcache_set_blocks_enabled(on);
-    }
-
-    /// Whether fused basic-block dispatch is enabled.
-    pub fn block_dispatch_enabled(&self) -> bool {
-        self.mem.dcache_blocks_enabled()
-    }
-
-    /// Turns threaded-code IR dispatch on or off for this machine (the
-    /// process-wide default comes from
-    /// [`set_ir_dispatch_default`](crate::set_ir_dispatch_default)).
-    /// With IR off, execution falls back to fused-block dispatch —
-    /// results are byte-identical either way; the `ir_vs_block`
-    /// ablation and the CI fallback lane run with it off.
+    /// Turns threaded-code IR dispatch on or off (on by default). With
+    /// IR off, [`run`](Machine::run) takes the per-instruction reference
+    /// path — results are byte-identical either way; the differential
+    /// suites and the `ir_vs_insn` ablation run with it off.
     pub fn set_ir_dispatch_enabled(&mut self, on: bool) {
         self.mem.dcache_set_ir_enabled(on);
     }
@@ -293,7 +277,7 @@ impl Machine {
     /// Rewinds the machine to `snap`. Memory restore copies back only
     /// the pages dirtied since the snapshot and pushes them through the
     /// decode cache's invalidation hooks, so predecoded instructions and
-    /// fused blocks for restored pages can never execute stale. Tracing
+    /// lowered blocks for restored pages can never execute stale. Tracing
     /// is reset; [`insn_count`](Machine::insn_count) keeps counting.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.mem.restore(&snap.mem);
@@ -326,7 +310,7 @@ impl Machine {
     /// Registers a native libc function at `addr`; entering that address
     /// runs the native semantics instead of fetching instructions.
     ///
-    /// Flushes the decode cache: a fused block built before the hook
+    /// Flushes the decode cache: a lowered block built before the hook
     /// existed could otherwise run straight through the hooked address.
     pub fn register_hook(&mut self, addr: Addr, f: LibcFn) {
         self.hooks.insert(addr, f);
@@ -476,13 +460,13 @@ impl Machine {
         }
     }
 
-    /// Decodes a fused basic block starting at the current pc: a
+    /// Decodes the basic block starting at `start` for IR lowering: a
     /// straight-line run that stops at the first control-flow
     /// instruction, hooked address, decode failure, or [`MAX_BLOCK`]
     /// instructions. Returns `None` when not even one instruction
     /// decodes (the caller falls back to [`step`](Machine::step), which
     /// raises the identical fault).
-    pub(crate) fn build_block(&mut self, start: Addr) -> Option<Arc<Block>> {
+    pub(crate) fn build_block(&mut self, start: Addr) -> Option<Vec<CachedInsn>> {
         if !start.is_multiple_of(self.arch.insn_align() as u32) {
             return None;
         }
@@ -514,84 +498,23 @@ impl Machine {
                 break;
             }
         }
-        if insns.is_empty() {
-            return None;
-        }
-        let block = Arc::new(Block { insns });
-        self.mem
-            .dcache_insert_block(start, Arc::clone(&block), pc.wrapping_sub(start));
-        Some(block)
-    }
-
-    /// Executes up to `budget` instructions of the fused block at the
-    /// current pc, falling back to a single [`step`](Machine::step) when
-    /// no block applies (hooked pc, undecodable bytes). Returns how many
-    /// instructions were consumed and the step result. Execution leaves
-    /// the block early on a taken branch (pc ≠ fall-through) or when a
-    /// store invalidates cached code (flush-generation change), so
-    /// results are byte-identical to per-instruction dispatch.
-    fn step_block(&mut self, budget: u64) -> (u64, Result<Option<RunOutcome>, Fault>) {
-        let start = self.regs.pc();
-        if self.hooks.contains_key(&start) {
-            return (1, self.step());
-        }
-        let block = match self.mem.dcache_get_block(start) {
-            Some(b) => b,
-            None => match self.build_block(start) {
-                Some(b) => b,
-                None => return (1, self.step()),
-            },
-        };
-        let gen = self.mem.dcache_generation();
-        if let Some(c) = &mut self.cov {
-            c.note(start);
-        }
-        let mut used = 0u64;
-        let mut pc = start;
-        for &ci in &block.insns {
-            if used >= budget {
-                break;
-            }
-            used += 1;
-            self.insn_count += 1;
-            let res = match ci {
-                CachedInsn::X86(insn, len) => x86::exec_insn(self, insn, len as usize, pc),
-                CachedInsn::Arm(insn) => arm::exec_insn(self, insn, pc),
-                CachedInsn::Riscv(insn, len) => riscv::exec_insn(self, insn, len as usize, pc),
-            };
-            match res {
-                Ok(None) => {}
-                terminal => return (used, terminal),
-            }
-            let next = pc.wrapping_add(ci.byte_len());
-            if self.regs.pc() != next || self.mem.dcache_generation() != gen {
-                break;
-            }
-            pc = next;
-        }
-        (used, Ok(None))
-    }
-
-    /// Whether [`run`](Machine::run) may use fused-block dispatch:
-    /// tracing wants one entry per instruction, and the ablation
-    /// toggles force the per-instruction path.
-    fn fused_dispatch(&self) -> bool {
-        self.trace.is_none() && self.block_dispatch_enabled() && self.decode_cache_enabled()
+        (!insns.is_empty()).then_some(insns)
     }
 
     /// Runs until a terminal state or `max_steps` instructions.
     ///
+    /// Dispatches lowered IR blocks (the fast path) unless tracing is on
+    /// (one entry per instruction wanted) or IR or the decode cache is
+    /// switched off; then it single-steps, the reference path.
+    ///
     /// Faults are recorded as [`Event::Faulted`] before being returned,
     /// so post-mortem inspection sees them in the event log.
     pub fn run(&mut self, max_steps: u64) -> RunOutcome {
-        let fused = self.fused_dispatch();
-        let ir = fused && self.ir_dispatch_enabled();
+        let ir = self.trace.is_none() && self.decode_cache_enabled() && self.ir_dispatch_enabled();
         let mut left = max_steps;
         while left > 0 {
             let (used, res) = if ir {
                 crate::ir::step_ir(self, left)
-            } else if fused {
-                self.step_block(left)
             } else {
                 (1, self.step())
             };
@@ -757,7 +680,7 @@ mod tests {
 
     #[test]
     fn coverage_map_records_dispatch_and_virtual_edges() {
-        // A short loop so block dispatch takes distinct edges.
+        // A short loop so IR dispatch takes distinct edges.
         let mut m = machine_with(loop_code());
         assert!(!m.coverage_enabled());
         m.cov_note(0xDEAD); // no-op while disarmed
@@ -793,18 +716,18 @@ mod tests {
 
     #[test]
     fn coverage_identical_across_dispatch_for_straightline_blocks() {
-        // Per-insn dispatch notes every pc; fused dispatch notes block
+        // Per-insn dispatch notes every pc; IR dispatch notes block
         // entries. For a program whose blocks are all single-entry
         // straight lines ending in control flow, the *set* of noted
         // locations differs but determinism per mode must hold.
-        let run_mode = |blocks: bool| {
+        let run_mode = |ir_on: bool| {
             let mut m = machine_with(loop_code());
-            m.set_block_dispatch_enabled(blocks);
+            m.set_ir_dispatch_enabled(ir_on);
             m.set_coverage_enabled(true);
             let _ = m.run(10_000);
             m.coverage().unwrap().bytes().to_vec()
         };
-        assert_eq!(run_mode(true), run_mode(true), "fused mode deterministic");
+        assert_eq!(run_mode(true), run_mode(true), "IR mode deterministic");
         assert_eq!(run_mode(false), run_mode(false), "insn mode deterministic");
     }
 
@@ -863,8 +786,8 @@ mod tests {
         ));
     }
 
-    /// A hot backward loop then `exit(ebx)` — the workload fused-block
-    /// dispatch targets (and the shape of the firmware's `daemon_init`).
+    /// A hot backward loop then `exit(ebx)` — the workload IR dispatch
+    /// targets (and the shape of the firmware's `daemon_init`).
     fn loop_code() -> Vec<u8> {
         Asm::new()
             .mov_r_imm(X86Reg::Ecx, 200)
@@ -880,46 +803,32 @@ mod tests {
     }
 
     #[test]
-    fn ir_block_and_insn_dispatch_agree() {
+    fn ir_and_insn_dispatch_agree() {
         let mut ir = machine_with(loop_code());
-        let mut block = machine_with(loop_code());
-        block.set_ir_dispatch_enabled(false);
         let mut insn = machine_with(loop_code());
-        insn.set_block_dispatch_enabled(false);
-        let (a, b, c) = (ir.run(10_000), block.run(10_000), insn.run(10_000));
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert_eq!(a, RunOutcome::Exited(7));
+        insn.set_ir_dispatch_enabled(false);
+        let out = ir.run(10_000);
+        assert_eq!(out, insn.run(10_000));
+        assert_eq!(out, RunOutcome::Exited(7));
         assert_eq!(ir.insn_count(), insn.insn_count());
-        assert_eq!(block.insn_count(), insn.insn_count());
         assert_eq!(ir.events(), insn.events());
-        assert_eq!(block.events(), insn.events());
         assert_eq!(format!("{:?}", ir.regs()), format!("{:?}", insn.regs()));
-        assert_eq!(format!("{:?}", block.regs()), format!("{:?}", insn.regs()));
     }
 
     #[test]
-    fn fused_dispatch_respects_step_budget() {
+    fn ir_dispatch_respects_step_budget() {
         // Budget 50 expires mid-loop — inside a lowered block (and a
-        // folded `inc` run) for the IR arm.
+        // folded `inc` run).
         let mut reference = machine_with(loop_code());
-        reference.set_block_dispatch_enabled(false);
+        reference.set_ir_dispatch_enabled(false);
         assert_eq!(
             reference.run(50),
             RunOutcome::Fault(Fault::StepLimit { limit: 50 })
         );
-        for ir_on in [true, false] {
-            let mut m = machine_with(loop_code());
-            m.set_ir_dispatch_enabled(ir_on);
-            let out = m.run(50);
-            assert_eq!(out, RunOutcome::Fault(Fault::StepLimit { limit: 50 }));
-            assert_eq!(m.insn_count(), reference.insn_count(), "ir_on={ir_on}");
-            assert_eq!(
-                format!("{:?}", m.regs()),
-                format!("{:?}", reference.regs()),
-                "ir_on={ir_on}"
-            );
-        }
+        let mut m = machine_with(loop_code());
+        assert_eq!(m.run(50), RunOutcome::Fault(Fault::StepLimit { limit: 50 }));
+        assert_eq!(m.insn_count(), reference.insn_count());
+        assert_eq!(format!("{:?}", m.regs()), format!("{:?}", reference.regs()));
     }
 
     #[test]
@@ -949,12 +858,11 @@ mod tests {
         // The imm32 of `mov ebx, 7` sits one byte into the instruction.
         let code = loop_code();
         let imm_off = (code.len() - 2 - 4) as Addr; // before int80's 2 bytes
-        for (ir_on, blocks_on) in [(true, true), (false, true), (false, false)] {
+        for ir_on in [true, false] {
             let mut m = machine_with(loop_code());
             m.set_ir_dispatch_enabled(ir_on);
-            m.set_block_dispatch_enabled(blocks_on);
             let snap = m.snapshot();
-            // Populate the decode cache and block table.
+            // Populate the decode cache and IR table.
             assert_eq!(m.run(10_000), RunOutcome::Exited(7));
 
             // Mutate .text after restoring: cached decodes for the page
@@ -964,7 +872,7 @@ mod tests {
             assert_eq!(
                 m.run(10_000),
                 RunOutcome::Exited(9),
-                "blocks_on={blocks_on}: mutated code must execute"
+                "ir_on={ir_on}: mutated code must execute"
             );
 
             // Restore again: the mutation itself is rewound.
@@ -972,7 +880,7 @@ mod tests {
             assert_eq!(
                 m.run(10_000),
                 RunOutcome::Exited(7),
-                "blocks_on={blocks_on}: restore must undo the .text write"
+                "ir_on={ir_on}: restore must undo the .text write"
             );
         }
     }

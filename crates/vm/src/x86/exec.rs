@@ -72,9 +72,10 @@ pub(crate) fn decode_at(m: &mut Machine, pc: Addr) -> Result<(Insn, usize), Faul
     }
 }
 
-/// Whether `insn` terminates a fused basic block: anything that can set
-/// the pc to something other than the fall-through address (the block
-/// builder stops decoding here — the textbook basic-block boundary).
+/// Whether `insn` terminates a basic block: anything that can set
+/// the pc to something other than the fall-through address (block
+/// formation for IR lowering stops decoding here — the textbook
+/// basic-block boundary).
 pub(crate) fn ends_block(insn: &Insn) -> bool {
     matches!(
         insn,
@@ -102,8 +103,8 @@ pub(crate) fn step(m: &mut Machine) -> Result<Option<RunOutcome>, Fault> {
 }
 
 /// Executes an already-decoded instruction of `len` encoded bytes at
-/// `pc` — the semantic half of [`step`], shared with the fused-block
-/// dispatcher so both modes are one implementation.
+/// `pc` — the semantic half of [`step`], shared with the IR
+/// dispatcher's `Exec` fallback so both paths are one implementation.
 pub(crate) fn exec_insn(
     m: &mut Machine,
     insn: Insn,

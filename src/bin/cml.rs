@@ -77,12 +77,11 @@ fn usage() {
          \x20 resolve     --smoke            resolver CI gate: delegation, CNAME,\n\
          \x20                                cache hit, determinism, poisoning\n\
          \x20 fuzz        --arch A --variant vulnerable|patched --seed N\n\
-         \x20             --max-execs N [--out DIR] [--no-ir]\n\
+         \x20             --max-execs N [--out DIR]\n\
          \x20                                coverage-guided fuzzing campaign\n\
-         \x20 fuzz        --smoke [--no-ir]  fixed-seed CI check: the fuzzer must\n\
+         \x20 fuzz        --smoke            fixed-seed CI check: the fuzzer must\n\
          \x20                                rediscover the overflow on vulnerable\n\
          \x20                                firmware and find nothing on patched\n\
-         \x20                                (--no-ir pins fused-block dispatch)\n\
          \x20 experiments [e1 .. e10]        regenerate the paper tables\n\
          \n\
          options:\n\
@@ -646,13 +645,6 @@ fn resolve_smoke() -> ExitCode {
 fn fuzz_cmd(opts: &Opts) -> ExitCode {
     use connman_lab::fuzz::{fuzz, FuzzConfig};
 
-    // Escape hatch: pin the whole campaign (including worker threads)
-    // to fused-block dispatch so the interpreter fallback stays
-    // exercised in CI.
-    if opts.rest.iter().any(|a| a == "--no-ir") {
-        connman_lab::vm::set_ir_dispatch_default(false);
-    }
-
     if opts.rest.iter().any(|a| a == "--smoke") {
         // Fixed-seed CI gate: the three campaigns below must behave
         // exactly this way on every run or the build fails.
@@ -726,8 +718,6 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--no-ir" => {} // handled above, before any machine exists
-
             other => {
                 eprintln!("unknown fuzz option {other:?}");
                 return ExitCode::FAILURE;

@@ -2,10 +2,10 @@
 //! blocks to superinstructions is a pure throughput lever. For every
 //! cell of the paper's exploit matrix — with the shadow-memory
 //! sanitizer both on and off — and for ISA-level programs that exercise
-//! every lowered op shape, {IR, fused-block, per-instruction} dispatch
-//! must produce byte-identical outcomes, fault details, event streams
-//! and instruction counts, including when the step budget expires in
-//! the middle of a lowered block or a folded ALU run.
+//! every lowered op shape, IR dispatch must produce byte-identical
+//! outcomes, fault details, event streams and instruction counts to the
+//! per-instruction reference path, including when the step budget
+//! expires in the middle of a lowered block or a folded ALU run.
 
 use cml_image::{Arch, Perms, SectionKind};
 use cml_vm::x86::Asm;
@@ -16,18 +16,9 @@ use connman_lab::exploit::{
 };
 use connman_lab::{FirmwareKind, Lab, Protections};
 
-/// The three dispatch tiers under test: threaded-code IR, fused basic
-/// blocks with IR pinned off, and per-instruction stepping.
-const MODES: [(&str, bool, bool); 3] = [
-    ("ir", true, true),
-    ("block", false, true),
-    ("insn", false, false),
-];
-
-fn set_mode(m: &mut Machine, ir_on: bool, blocks_on: bool) {
-    m.set_ir_dispatch_enabled(ir_on);
-    m.set_block_dispatch_enabled(blocks_on);
-}
+/// The two dispatch paths under test, reference first: per-instruction
+/// stepping and threaded-code IR. The flag is `set_ir_dispatch_enabled`.
+const MODES: [(&str, bool); 2] = [("insn", false), ("ir", true)];
 
 /// The nine PoC cells of §III: protection level + the matched technique.
 fn matrix() -> Vec<(Arch, Protections, Box<dyn ExploitStrategy>)> {
@@ -65,10 +56,10 @@ fn ir_dispatch_is_invisible_across_the_exploit_matrix() {
 
         for sanitize in [false, true] {
             let mut prints: Vec<(&str, String)> = Vec::new();
-            for (mode, ir_on, blocks_on) in MODES {
+            for (mode, ir_on) in MODES {
                 let mut daemon = fw.boot(protections, SEED);
                 daemon.set_sanitizer(sanitize);
-                set_mode(daemon.machine_mut(), ir_on, blocks_on);
+                daemon.machine_mut().set_ir_dispatch_enabled(ir_on);
                 let outcome = deliver_labels(&mut daemon, labels.clone());
                 let m = daemon.machine();
                 prints.push((
@@ -222,7 +213,7 @@ fn riscv_program() -> Vec<u8> {
         .finish()
 }
 
-/// x86/ARM/RISC-V programs agree across all three dispatch tiers, for
+/// x86/ARM/RISC-V programs agree across both dispatch paths, for
 /// every step budget from 1 up to past program exit — so budget
 /// exhaustion lands on every possible op boundary, including inside
 /// folded `AddImm` runs and between the halves of fused
@@ -236,7 +227,7 @@ fn step_budget_parity_at_every_boundary() {
     ] {
         // Establish the total instruction count from per-insn dispatch.
         let mut full = boot(arch, &code);
-        set_mode(&mut full, false, false);
+        full.set_ir_dispatch_enabled(false);
         let outcome = full.run(100_000);
         assert_eq!(
             outcome,
@@ -247,9 +238,9 @@ fn step_budget_parity_at_every_boundary() {
 
         for budget in 1..=total + 2 {
             let mut prints: Vec<(&str, String)> = Vec::new();
-            for (mode, ir_on, blocks_on) in MODES {
+            for (mode, ir_on) in MODES {
                 let mut m = boot(arch, &code);
-                set_mode(&mut m, ir_on, blocks_on);
+                m.set_ir_dispatch_enabled(ir_on);
                 let out = m.run(budget);
                 prints.push((
                     mode,
@@ -274,7 +265,7 @@ fn step_budget_parity_at_every_boundary() {
 }
 
 /// Faulting mid-block must leave identical fault details and pc across
-/// the tiers: the store to unmapped memory sits behind a folded run so
+/// both paths: the store to unmapped memory sits behind a folded run so
 /// the IR reaches it mid-block.
 #[test]
 fn mid_block_fault_parity() {
@@ -287,9 +278,9 @@ fn mid_block_fault_parity() {
         .int80()
         .finish();
     let mut prints: Vec<(&str, String)> = Vec::new();
-    for (mode, ir_on, blocks_on) in MODES {
+    for (mode, ir_on) in MODES {
         let mut m = boot(Arch::X86, &code);
-        set_mode(&mut m, ir_on, blocks_on);
+        m.set_ir_dispatch_enabled(ir_on);
         let out = m.run(1_000);
         assert!(out.is_crash(), "{mode}: store to unmapped memory faults");
         prints.push((
@@ -309,7 +300,7 @@ fn mid_block_fault_parity() {
 }
 
 /// Mutating `.text` after a snapshot restore must orphan the lowered IR
-/// blocks (generation bump), on top of the block/decode caches: the run
+/// blocks (generation bump), on top of the decode cache: the run
 /// after the poke executes the *mutated* exit code, and a second
 /// restore rewinds the mutation itself.
 #[test]
@@ -338,27 +329,33 @@ fn text_mutation_after_snapshot_orphans_ir_blocks() {
     );
 }
 
-/// IR dispatch and fused-block dispatch note coverage identically (one
-/// premixed edge per block entry): the maps must be byte-for-byte the
-/// same, on all three ISAs.
+/// FNV-1a over the coverage map's counter bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// IR dispatch notes one premixed edge per lowered-block entry — the
+/// fuzzer's edge semantics. The per-instruction path notes every pc, so
+/// it cannot serve as the comparator; instead the maps are pinned to
+/// the digests (and edge counts) that fused-block dispatch produced
+/// when it still existed and agreed with IR byte for byte.
 #[test]
-fn coverage_map_identical_ir_vs_block() {
-    for (arch, code) in [
-        (Arch::X86, x86_program()),
-        (Arch::Armv7, arm_program()),
-        (Arch::Riscv, riscv_program()),
+fn coverage_map_matches_pinned_digests() {
+    for (arch, code, digest, edges) in [
+        (Arch::X86, x86_program(), 0xfddb_fc8c_f42c_c134, 5),
+        (Arch::Armv7, arm_program(), 0x0790_5459_979a_d487, 6),
+        (Arch::Riscv, riscv_program(), 0xc63b_72e0_70c7_d51c, 5),
     ] {
-        let run_mode = |ir_on: bool| {
-            let mut m = boot(arch, &code);
-            set_mode(&mut m, ir_on, true);
-            m.set_coverage_enabled(true);
-            let _ = m.run(100_000);
-            m.coverage().unwrap().bytes().to_vec()
-        };
+        let mut m = boot(arch, &code);
+        m.set_coverage_enabled(true);
+        let _ = m.run(100_000);
+        let cov = m.coverage().unwrap();
         assert_eq!(
-            run_mode(true),
-            run_mode(false),
-            "{arch}: IR coverage diverged from block coverage"
+            (fnv1a64(cov.bytes()), cov.edges()),
+            (digest, edges),
+            "{arch}: IR coverage map moved"
         );
     }
 }
