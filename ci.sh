@@ -64,14 +64,11 @@ diff <(fleet_smoke 1) <(fleet_smoke 4) || {
   echo "fleet smoke: serial vs parallel reports differ"; exit 1; }
 
 echo "==> repro --bench-smoke"
-# Tiny-iteration snapshot/dispatch/template/pool/resolver/decode
-# ablations, compared against the newest committed BENCH_*.json (fails on
-# a >2x regression of the snapshot insn advantage, the template_vs_rebuild
-# wall advantage or the IR-over-per-instruction dispatch speedup, a >4x
-# regression of any per-ISA decode-table-vs-hand-rolled ratio, a >20x
-# collapse of the warm resolver-cache throughput or the RISC-V fuzz
-# execs/sec, or any allocation on the warm cache-hit path; each guard
-# skips with a note when the baseline predates its record).
+# Tiny-iteration ablations, static analyzer and 10k-device fleet,
+# checked row by row against the newest committed BENCH_*.json holding
+# ablations. The rows (value, direction, factor, floor) are the GUARDS
+# table in crates/bench/src/bin/repro.rs; a row skips with a note when
+# the baseline predates its record, and an unparseable baseline fails.
 cargo run --release --offline -q -p cml-bench --bin repro -- --bench-smoke
 
 echo "==> cargo doc --no-deps"

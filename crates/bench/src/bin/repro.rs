@@ -10,10 +10,11 @@
 //!                       # fleet + the static analyzer + the snapshot /
 //!                       # dispatch / template / pool / resolver-cache
 //!                       # ablations and write BENCH_<n>.json
-//! repro --bench-smoke   # tiny-iteration ablation run compared against
-//!                       # the newest committed BENCH_*.json; exits 1 on
-//!                       # a >2x regression, 0 (with a note) when no
-//!                       # baseline exists
+//! repro --bench-smoke   # tiny-iteration ablation run checked row by row
+//!                       # (`GUARDS`) against the newest BENCH_<n>.json
+//!                       # holding ablations; exits 1 when any row fails
+//!                       # or that file does not parse, 0 (with a note)
+//!                       # when no baseline exists
 //! repro --no-snapshot   # boot every E8 trial from scratch instead of
 //!                       # forking a per-entropy-level snapshot
 //! repro --sanitize      # run the 9-cell exploit matrix under the VM
@@ -23,11 +24,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use cml_analyze::json::{self, s, Value};
 use cml_core::experiments;
-use cml_core::fleet::{run_fleet_cfg, run_fleet_with, FleetConfig, FleetSpec, ENTROPY_FULL};
+use cml_core::fleet::{
+    run_fleet_cfg, run_fleet_with, FleetConfig, FleetReport, FleetSpec, ENTROPY_FULL,
+};
 use cml_core::report::Suite;
 use cml_core::{Arch, Firmware, FirmwareKind, Lab, Protections, ProxyOutcome};
 use cml_dns::{BufPool, Message, Name, Question, RecordType};
@@ -39,6 +44,8 @@ use cml_exploit::{
 };
 use cml_fuzz::FuzzConfig;
 use cml_vm::{x86, Fault, Machine, X86Reg};
+use Better::{Higher, Lower};
+use Loc::{At, Decode, FirstVsa, IrRatio, SumVsa};
 
 /// Counts allocation-acquiring calls so the ablations can report heap
 /// traffic alongside wall time (frees are uninteresting here).
@@ -74,6 +81,47 @@ fn allocs_so_far() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// A field of a bench record: a count, a wall time or ratio, or a
+/// nested value.
+trait Field<'a> {
+    fn json(self) -> Value<'a>;
+}
+
+impl<'a> Field<'a> for Value<'a> {
+    fn json(self) -> Value<'a> {
+        self
+    }
+}
+
+impl<'a> Field<'a> for f64 {
+    fn json(self) -> Value<'a> {
+        Value::Num(self)
+    }
+}
+
+impl<'a> Field<'a> for u64 {
+    fn json(self) -> Value<'a> {
+        Value::Num(self as f64)
+    }
+}
+
+impl<'a> Field<'a> for usize {
+    fn json(self) -> Value<'a> {
+        Value::Num(self as f64)
+    }
+}
+
+/// `obj! { "key" => field, … }`: a JSON object with its fields in the
+/// order written.
+macro_rules! obj {
+    ($($key:literal => $val:expr),* $(,)?) => {
+        Value::Obj(vec![$(($key.into(), Field::json($val))),*])
+    };
+}
+
+/// A bench record, or one section of one.
+type Json = Value<'static>;
+
 const ALL_IDS: [&str; 10] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];
 const FLEET_DEVICES: u64 = 1000;
 
@@ -101,7 +149,7 @@ fn main() {
             "--exp" => { /* ids follow */ }
             "--out" => out_path = args.next(),
             "--json" => json = true,
-            "--bench-json" | "--timings" => bench_json = true,
+            "--bench-json" => bench_json = true,
             "--bench-smoke" => bench_smoke = true,
             "--sanitize" => sanitize = true,
             "--no-snapshot" => snapshot = false,
@@ -114,7 +162,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--exp e1 e2 …] [--out FILE] [--json] \
-                     [--jobs N] [--bench-json|--timings] [--bench-smoke] \
+                     [--jobs N] [--bench-json] [--bench-smoke] \
                      [--no-snapshot] [--sanitize]"
                 );
                 return;
@@ -159,7 +207,7 @@ fn main() {
     let suite = Suite { tables };
 
     let body = if json {
-        to_json(&suite)
+        suite_json(&suite).to_string()
     } else {
         suite.to_markdown()
     };
@@ -175,30 +223,44 @@ fn main() {
         let spec = FleetSpec::heterogeneous(FLEET_DEVICES, 0xF1EE7);
         eprintln!("timing a {FLEET_DEVICES}-device fleet on {jobs} worker(s)…");
         let report = run_fleet_with(&spec, jobs, snapshot);
-        eprintln!(
-            "fleet: {} devices in {:.2}s ({:.1} devices/sec, {} compromised)",
-            report.devices,
-            report.elapsed.as_secs_f64(),
-            report.devices_per_sec(),
-            report.compromised()
-        );
+        let fleet = obj! {
+            "devices" => report.devices,
+            "jobs" => report.jobs,
+            "wall_secs" => report.elapsed.as_secs_f64(),
+            "devices_per_sec" => report.devices_per_sec(),
+            "compromised" => report.compromised(),
+            "survivors" => report.survivors(),
+        };
+        eprintln!("fleet: {fleet}");
         eprintln!("timing the fleet_scale campaign ({FLEET_SCALE_DEVICES} devices)…");
         let scale = fleet_scale_timings(jobs);
-        eprintln!("{}", scale.describe());
+        eprintln!("fleet_scale: {scale}");
         eprintln!("timing the static analyzer on all three architectures…");
         let analysis = analysis_timings();
-        for (arch, secs, vsa_secs, insns) in &analysis {
-            eprintln!(
-                "analyzer: {arch} CFG+taint+VSA+audit over {insns} instructions \
-                 in {secs:.4}s (VSA alone {vsa_secs:.4}s)"
-            );
-        }
+        eprintln!("analysis: {analysis}");
         eprintln!("running the snapshot/dispatch ablations…");
         let ablations = run_ablations(ABLATION_TRIALS);
-        eprintln!("{}", ablations.describe());
-        let path = next_bench_path();
-        let doc = bench_json_doc(jobs, &timings, &report, &scale, &analysis, &ablations);
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(doc.as_bytes())) {
+        eprintln!("ablations: {ablations}");
+        let experiments = timings
+            .into_iter()
+            .map(|(id, secs)| obj! { "id" => s(id), "wall_secs" => secs })
+            .collect();
+        let record = obj! {
+            "jobs" => jobs,
+            "experiments" => Value::Arr(experiments),
+            "analysis" => analysis,
+            "ablations" => ablations,
+            "fleet" => fleet,
+            "fleet_scale" => scale,
+        };
+        // One past the highest index, never filling a hole: the smoke
+        // guard baselines on the highest index, so a hole-filling name
+        // would be invisible to it.
+        let next = bench_files(Path::new("."))
+            .first()
+            .map_or(0, |(n, _)| n + 1);
+        let path = format!("BENCH_{next}.json");
+        match std::fs::write(&path, format!("{record}\n")) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }
@@ -211,200 +273,6 @@ const ABLATION_TRIALS: u64 = 48;
 /// Trials per ablation arm for the `--bench-smoke` CI stage.
 const SMOKE_TRIALS: u64 = 6;
 
-/// The harness-throughput ablation numbers recorded in `BENCH_<n>.json`.
-struct Ablations {
-    trials: u64,
-    /// Mean executed instructions per E8-style trial, fresh boot each.
-    fresh_insns: u64,
-    /// Same, forking one snapshot (restore + reslide) per trial.
-    forked_insns: u64,
-    fresh_wall_secs: f64,
-    forked_wall_secs: f64,
-    /// Wall seconds for the same hot-loop run under threaded-code IR
-    /// dispatch vs. per-instruction stepping (same insn counts — the
-    /// paths are semantically identical; only dispatch cost moves).
-    ir_wall_secs: f64,
-    insn_wall_secs: f64,
-    /// Executed instructions per run in both dispatch arms.
-    dispatch_insns: u64,
-    /// Template-vs-rebuild: producing per-device payload labels by
-    /// relocating a compiled template vs. rebuilding from scratch.
-    /// Both arms run the same number of label builds (`pooled_queries`).
-    rebuild_wall_secs: f64,
-    template_wall_secs: f64,
-    rebuild_allocs_per_build: u64,
-    template_allocs_per_build: u64,
-    /// Pooled-vs-alloc: answering the canonical proxy query into a warm
-    /// pooled buffer vs. allocating a fresh response vector each time.
-    pooled_queries: u64,
-    alloc_wall_secs: f64,
-    pooled_wall_secs: f64,
-    alloc_allocs_per_query: u64,
-    pooled_allocs_per_query: u64,
-    /// Resolver cache: warm cache-hit replay through the recursive
-    /// resolver into a pooled output buffer (the fleet fast path) vs.
-    /// the same hits into a fresh `Vec` per query vs. cache-off (every
-    /// query walks the full root → TLD → authoritative chain).
-    resolver_queries: u64,
-    resolver_cached_wall_secs: f64,
-    resolver_alloc_wall_secs: f64,
-    resolver_uncached_queries: u64,
-    resolver_uncached_wall_secs: f64,
-    resolver_cached_allocs_per_query: u64,
-    resolver_alloc_allocs_per_query: u64,
-    /// Fuzzing throughput: a fixed-seed coverage-guided campaign on the
-    /// vulnerable x86 daemon, snapshot-fork per exec, edge map armed.
-    fuzz_execs: u64,
-    fuzz_wall_secs: f64,
-    /// Same campaign with a full boot per exec instead of a fork (the
-    /// two campaigns execute identical input sequences — same derived
-    /// RNG streams — so only the restore-vs-boot cost moves).
-    fuzz_reboot_wall_secs: f64,
-    /// Coverage-hook cost, measured by replaying one fixed input set
-    /// through the harness with the edge map armed vs disarmed —
-    /// identical work in both arms, only the bitmap writes differ.
-    cov_replay_execs: u64,
-    cov_on_wall_secs: f64,
-    cov_off_wall_secs: f64,
-    /// Per-ISA decode ablation: walking the vulnerable image's `.text`
-    /// end to end with the declarative-table decoder vs. the retained
-    /// hand-rolled reference decoder. One entry per architecture:
-    /// `(arch, table_wall_secs, handrolled_wall_secs, insns_per_pass)`.
-    decode_table: Vec<(Arch, f64, f64, u64)>,
-    /// RISC-V fuzzing throughput: the same fixed-seed campaign as
-    /// `fuzz_execs`, on the RV32IC target.
-    riscv_fuzz_execs: u64,
-    riscv_fuzz_wall_secs: f64,
-}
-
-impl Ablations {
-    fn insn_ratio(&self) -> f64 {
-        self.fresh_insns as f64 / self.forked_insns.max(1) as f64
-    }
-
-    fn template_wall_ratio(&self) -> f64 {
-        self.rebuild_wall_secs / self.template_wall_secs.max(1e-12)
-    }
-
-    fn pooled_wall_ratio(&self) -> f64 {
-        self.alloc_wall_secs / self.pooled_wall_secs.max(1e-12)
-    }
-
-    fn fuzz_execs_per_sec(&self) -> f64 {
-        self.fuzz_execs as f64 / self.fuzz_wall_secs.max(1e-12)
-    }
-
-    fn riscv_fuzz_execs_per_sec(&self) -> f64 {
-        self.riscv_fuzz_execs as f64 / self.riscv_fuzz_wall_secs.max(1e-12)
-    }
-
-    /// Warm cache-hit throughput — the headline queries/sec figure.
-    fn resolver_qps(&self) -> f64 {
-        self.resolver_queries as f64 / self.resolver_cached_wall_secs.max(1e-12)
-    }
-
-    /// Per-query cost of turning the cache off: full recursion wall per
-    /// query over warm hit wall per query.
-    fn resolver_cache_off_ratio(&self) -> f64 {
-        let uncached =
-            self.resolver_uncached_wall_secs / self.resolver_uncached_queries.max(1) as f64;
-        let cached = self.resolver_cached_wall_secs / self.resolver_queries.max(1) as f64;
-        uncached / cached.max(1e-15)
-    }
-
-    /// Fresh-`Vec`-per-hit cost over the pooled warm-buffer path (same
-    /// query count in both arms).
-    fn resolver_alloc_ratio(&self) -> f64 {
-        self.resolver_alloc_wall_secs / self.resolver_cached_wall_secs.max(1e-12)
-    }
-
-    /// Threaded-code IR advantage over per-instruction stepping.
-    fn ir_vs_insn_ratio(&self) -> f64 {
-        self.insn_wall_secs / self.ir_wall_secs.max(1e-12)
-    }
-
-    /// Wall cost of the coverage bitmap: armed / disarmed (≥ 1.0 means
-    /// the hook costs something; close to 1.0 is the goal).
-    fn coverage_overhead_ratio(&self) -> f64 {
-        self.cov_on_wall_secs / self.cov_off_wall_secs.max(1e-12)
-    }
-
-    /// Snapshot-fork advantage inside the fuzz loop: reboot / fork.
-    fn fork_vs_reboot_fuzz_ratio(&self) -> f64 {
-        self.fuzz_reboot_wall_secs / self.fuzz_wall_secs.max(1e-12)
-    }
-
-    fn describe(&self) -> String {
-        let decode = self
-            .decode_table
-            .iter()
-            .map(|(arch, table, hand, insns)| {
-                format!(
-                    "{arch} {:.4}s table vs {:.4}s hand-rolled over {} insns/pass ({:.2}x)",
-                    table,
-                    hand,
-                    insns,
-                    hand / table.max(1e-12)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("; ");
-        format!(
-            "snapshot_vs_reboot: {} vs {} insns/trial ({:.1}x fewer), \
-             {:.3}s vs {:.3}s over {} trials\n\
-             ir_vs_insn: {:.3}s vs {:.3}s for {} insns/trial ({:.1}x)\n\
-             template_vs_rebuild: {:.4}s rebuild vs {:.4}s relocate \
-             ({:.1}x cheaper wall; {} vs {} allocs/build)\n\
-             pooled_vs_alloc: {:.4}s alloc vs {:.4}s pooled over {} queries \
-             ({:.1}x cheaper wall; {} vs {} allocs/query)\n\
-             resolver: {:.0} q/s warm cache over {} hits ({} allocs/query); \
-             fresh-Vec hits {:.1}x slower ({} allocs/query); cache-off \
-             {:.0}x slower per query ({} full recursions)\n\
-             fuzz: {} execs in {:.3}s ({:.0} execs/sec); coverage hook \
-             {:.2}x wall overhead; reboot-per-exec {:.1}x slower than fork\n\
-             decode_table: {}\n\
-             riscv_fuzz: {} execs in {:.3}s ({:.0} execs/sec)",
-            self.fresh_insns,
-            self.forked_insns,
-            self.insn_ratio(),
-            self.fresh_wall_secs,
-            self.forked_wall_secs,
-            self.trials,
-            self.ir_wall_secs,
-            self.insn_wall_secs,
-            self.dispatch_insns,
-            self.ir_vs_insn_ratio(),
-            self.rebuild_wall_secs,
-            self.template_wall_secs,
-            self.template_wall_ratio(),
-            self.rebuild_allocs_per_build,
-            self.template_allocs_per_build,
-            self.alloc_wall_secs,
-            self.pooled_wall_secs,
-            self.pooled_queries,
-            self.pooled_wall_ratio(),
-            self.alloc_allocs_per_query,
-            self.pooled_allocs_per_query,
-            self.resolver_qps(),
-            self.resolver_queries,
-            self.resolver_cached_allocs_per_query,
-            self.resolver_alloc_ratio(),
-            self.resolver_alloc_allocs_per_query,
-            self.resolver_cache_off_ratio(),
-            self.resolver_uncached_queries,
-            self.fuzz_execs,
-            self.fuzz_wall_secs,
-            self.fuzz_execs_per_sec(),
-            self.coverage_overhead_ratio(),
-            self.fork_vs_reboot_fuzz_ratio(),
-            decode,
-            self.riscv_fuzz_execs,
-            self.riscv_fuzz_wall_secs,
-            self.riscv_fuzz_execs_per_sec()
-        )
-    }
-}
-
 /// Inner repetitions per trial for the allocation-path ablations (one
 /// template relocation or pooled query is far below timer resolution).
 const PATH_REPS: u64 = 64;
@@ -413,8 +281,8 @@ const PATH_REPS: u64 = 64;
 /// dispatch workloads are one E8-style trial: boot (or fork) an
 /// OpenELEC/x86 daemon under full protections and deliver one oversized
 /// response. The template and pool workloads are one steady-state fleet
-/// payload/packet step.
-fn run_ablations(trials: u64) -> Ablations {
+/// payload/packet step. Returns the record's `ablations` section.
+fn run_ablations(trials: u64) -> Json {
     let fw = Firmware::build(FirmwareKind::OpenElec, Arch::X86);
     let prot = Protections::full();
     let labels: Vec<Vec<u8>> = vec![0x41u8; 1300].chunks(63).map(<[u8]>::to_vec).collect();
@@ -616,7 +484,7 @@ fn run_ablations(trials: u64) -> Ablations {
     // to end with the declarative-table decoder vs. the retained
     // hand-rolled reference decoder. Interleaved per trial like the
     // dispatch ablation so machine-speed phases hit both arms equally.
-    let decode_table: Vec<(Arch, f64, f64, u64)> = Arch::ALL
+    let decode_table: Vec<Json> = Arch::ALL
         .iter()
         .map(|&arch| {
             use cml_image::SectionKind;
@@ -638,7 +506,13 @@ fn run_ablations(trials: u64) -> Ablations {
                     insns = pass.1;
                 }
             }
-            (arch, walls[0], walls[1], insns)
+            obj! {
+                "isa" => s(arch.to_string()),
+                "table_wall_secs" => walls[0],
+                "handrolled_wall_secs" => walls[1],
+                "insns_per_pass" => insns,
+                "decode_wall_ratio" => walls[1] / walls[0].max(1e-12),
+            }
         })
         .collect();
 
@@ -727,40 +601,74 @@ fn run_ablations(trials: u64) -> Ablations {
         }
     }
 
-    Ablations {
-        trials,
-        fresh_insns: fresh_insns / trials.max(1),
-        forked_insns: forked_insns / trials.max(1),
-        fresh_wall_secs,
-        forked_wall_secs,
-        ir_wall_secs: dispatch[0],
-        insn_wall_secs: dispatch[1],
-        dispatch_insns,
-        rebuild_wall_secs,
-        template_wall_secs,
-        rebuild_allocs_per_build: rebuild_allocs / reps.max(1),
-        template_allocs_per_build: template_allocs / reps.max(1),
-        pooled_queries: reps,
-        alloc_wall_secs,
-        pooled_wall_secs,
-        alloc_allocs_per_query: alloc_allocs / reps.max(1),
-        pooled_allocs_per_query: pooled_allocs / reps.max(1),
-        resolver_queries,
-        resolver_cached_wall_secs,
-        resolver_alloc_wall_secs,
-        resolver_uncached_queries,
-        resolver_uncached_wall_secs,
-        resolver_cached_allocs_per_query: resolver_cached_allocs / resolver_queries.max(1),
-        resolver_alloc_allocs_per_query: resolver_alloc_allocs / resolver_queries.max(1),
-        fuzz_execs,
-        fuzz_wall_secs,
-        fuzz_reboot_wall_secs,
-        cov_replay_execs,
-        cov_on_wall_secs: cov_wall[0],
-        cov_off_wall_secs: cov_wall[1],
-        decode_table,
-        riscv_fuzz_execs,
-        riscv_fuzz_wall_secs,
+    let (fresh_insns, forked_insns) = (fresh_insns / trials.max(1), forked_insns / trials.max(1));
+    let cached_per_query = resolver_cached_wall_secs / resolver_queries.max(1) as f64;
+    let uncached_per_query = resolver_uncached_wall_secs / resolver_uncached_queries.max(1) as f64;
+    obj! {
+        "snapshot_vs_reboot" => obj! {
+            "trials" => trials,
+            "fresh_insns_per_trial" => fresh_insns,
+            "forked_insns_per_trial" => forked_insns,
+            "insn_ratio" => fresh_insns as f64 / forked_insns.max(1) as f64,
+            "fresh_wall_secs" => fresh_wall_secs,
+            "forked_wall_secs" => forked_wall_secs,
+        },
+        "ir_vs_insn" => obj! {
+            "trials" => trials,
+            "insns_per_trial" => dispatch_insns,
+            "ir_wall_secs" => dispatch[0],
+            "insn_wall_secs" => dispatch[1],
+            "wall_ratio" => dispatch[1] / dispatch[0].max(1e-12),
+        },
+        "template_vs_rebuild" => obj! {
+            "builds" => reps,
+            "rebuild_wall_secs" => rebuild_wall_secs,
+            "template_wall_secs" => template_wall_secs,
+            "wall_ratio" => rebuild_wall_secs / template_wall_secs.max(1e-12),
+            "rebuild_allocs_per_build" => rebuild_allocs / reps.max(1),
+            "template_allocs_per_build" => template_allocs / reps.max(1),
+        },
+        "pooled_vs_alloc" => obj! {
+            "queries" => reps,
+            "alloc_wall_secs" => alloc_wall_secs,
+            "pooled_wall_secs" => pooled_wall_secs,
+            "wall_ratio" => alloc_wall_secs / pooled_wall_secs.max(1e-12),
+            "alloc_allocs_per_query" => alloc_allocs / reps.max(1),
+            "pooled_allocs_per_query" => pooled_allocs / reps.max(1),
+        },
+        "resolver" => obj! {
+            "queries" => resolver_queries,
+            "cached_wall_secs" => resolver_cached_wall_secs,
+            "resolver_qps" => resolver_queries as f64 / resolver_cached_wall_secs.max(1e-12),
+            "cached_allocs_per_query" => resolver_cached_allocs / resolver_queries.max(1),
+            "alloc_wall_secs" => resolver_alloc_wall_secs,
+            "alloc_ratio" => resolver_alloc_wall_secs / resolver_cached_wall_secs.max(1e-12),
+            "alloc_allocs_per_query" => resolver_alloc_allocs / resolver_queries.max(1),
+            "uncached_queries" => resolver_uncached_queries,
+            "uncached_wall_secs" => resolver_uncached_wall_secs,
+            "cache_off_ratio" => uncached_per_query / cached_per_query.max(1e-15),
+        },
+        "fuzz" => obj! {
+            "execs" => fuzz_execs,
+            "fuzz_execs_per_sec" => fuzz_execs as f64 / fuzz_wall_secs.max(1e-12),
+            "coverage_hook_overhead" => obj! {
+                "replay_execs" => cov_replay_execs,
+                "on_wall_secs" => cov_wall[0],
+                "off_wall_secs" => cov_wall[1],
+                "overhead_ratio" => cov_wall[0] / cov_wall[1].max(1e-12),
+            },
+            "fork_vs_reboot_fuzz" => obj! {
+                "fork_wall_secs" => fuzz_wall_secs,
+                "reboot_wall_secs" => fuzz_reboot_wall_secs,
+                "wall_ratio" => fuzz_reboot_wall_secs / fuzz_wall_secs.max(1e-12),
+            },
+        },
+        "decode_table" => Value::Arr(decode_table),
+        "riscv_fuzz" => obj! {
+            "execs" => riscv_fuzz_execs,
+            "wall_secs" => riscv_fuzz_wall_secs,
+            "execs_per_sec" => riscv_fuzz_execs as f64 / riscv_fuzz_wall_secs.max(1e-12),
+        },
     }
 }
 
@@ -823,258 +731,260 @@ fn dispatch_loop_machine() -> Machine {
     m
 }
 
-/// `--bench-smoke`: a tiny-iteration ablation run compared against the
-/// newest committed `BENCH_<n>.json`. Fails (exit 1) when the snapshot
-/// advantage collapsed by more than 2x in instruction terms, or when
-/// the template-relocation wall advantage collapsed by more than 2x;
-/// skips with a note (exit 0) when no baseline file exists yet. A
-/// baseline predating a given record (e.g. one without
-/// `template_vs_rebuild`) skips that comparison only.
+/// Where a guarded number lives in a bench record.
+enum Loc {
+    /// The number at this dotted key path.
+    At(&'static str),
+    /// `decode_wall_ratio` of the `ablations.decode_table` entry for
+    /// this ISA.
+    Decode(&'static str),
+    /// `vsa_wall_secs` of the first `analysis` entry.
+    FirstVsa,
+    /// `vsa_wall_secs` summed over every `analysis` entry.
+    SumVsa,
+    /// `insn_wall_secs / ir_wall_secs`, each from the first `ablations`
+    /// section holding it: `ir_vs_insn` in current records,
+    /// `block_vs_insn` and `ir_vs_block` in BENCH_6–10.
+    IrRatio,
+}
+
+impl Loc {
+    fn read(&self, record: &Json) -> Option<f64> {
+        let vsa = |entry: &Json| entry.get("vsa_wall_secs")?.as_num();
+        match self {
+            Loc::At(path) => path
+                .split('.')
+                .try_fold(record, |v, key| v.get(key))?
+                .as_num(),
+            Loc::Decode(isa) => record
+                .get("ablations")?
+                .get("decode_table")?
+                .as_arr()?
+                .iter()
+                .find(|entry| entry.get("isa").and_then(Value::as_str) == Some(isa))?
+                .get("decode_wall_ratio")?
+                .as_num(),
+            Loc::FirstVsa => vsa(record.get("analysis")?.as_arr()?.first()?),
+            Loc::SumVsa => record.get("analysis")?.as_arr()?.iter().map(vsa).sum(),
+            Loc::IrRatio => {
+                let Value::Obj(sections) = record.get("ablations")? else {
+                    return None;
+                };
+                let first = |key| sections.iter().find_map(|(_, s)| s.get(key)?.as_num());
+                let (insn, ir) = (first("insn_wall_secs")?, first("ir_wall_secs")?);
+                (ir > 0.0).then(|| insn / ir)
+            }
+        }
+    }
+}
+
+/// Where a guard's baseline comes from.
+enum Base {
+    /// The baseline record, at the row's own location.
+    Same,
+    /// The baseline record, at another location.
+    Other(Loc),
+    /// No record: the row's `floor` is the baseline.
+    Floor,
+}
+
+/// Which way a guarded number may move, and the factor of its baseline
+/// it may move by before its row fails.
+enum Better {
+    Higher(f64),
+    Lower(f64),
+}
+
+/// One `--bench-smoke` row: the current run's number at `now` against
+/// its baseline, clamped up to `floor`.
+struct Guard {
+    label: &'static str,
+    now: Loc,
+    base: Base,
+    better: Better,
+    floor: f64,
+}
+
+impl Guard {
+    /// A row whose baseline sits where its current value does, unclamped.
+    const fn new(label: &'static str, now: Loc, better: Better) -> Guard {
+        Guard {
+            label,
+            now,
+            base: Base::Same,
+            better,
+            floor: 0.0,
+        }
+    }
+
+    /// The row's baseline in `doc`, or `None` when `doc` predates the
+    /// record or holds no positive value there to scale.
+    fn baseline(&self, doc: &Json) -> Option<f64> {
+        let was = match &self.base {
+            Base::Floor => return Some(self.floor),
+            Base::Same => self.now.read(doc)?,
+            Base::Other(loc) => loc.read(doc)?,
+        };
+        (was.max(self.floor) > 0.0).then_some(was)
+    }
+
+    /// The limit the current number must not cross.
+    fn bound(&self, was: f64) -> f64 {
+        match self.better {
+            Higher(factor) => was.max(self.floor) / factor,
+            Lower(factor) => was.max(self.floor) * factor,
+        }
+    }
+
+    fn passes(&self, now: f64, was: f64) -> bool {
+        match self.better {
+            Higher(_) => now >= self.bound(was),
+            Lower(_) => now <= self.bound(was),
+        }
+    }
+}
+
+/// The `--bench-smoke` rows. Ratios of two arms timed in the same run
+/// get 2x; throughput across machines is noisy, so those rows fail only
+/// on an order-of-magnitude (20x) collapse. Decode is a cold path (the
+/// predecode cache decodes each pc once per generation) and its
+/// sub-millisecond passes are noisy on a shared host, so its rows catch
+/// table blow-up, not jitter, at 4x.
+#[rustfmt::skip]
+const GUARDS: [Guard; 13] = [
+    Guard::new("snapshot fork insn advantage", At("ablations.snapshot_vs_reboot.insn_ratio"), Higher(2.0)),
+    Guard::new("template relocation wall advantage", At("ablations.template_vs_rebuild.wall_ratio"), Higher(2.0)),
+    Guard::new("resolver warm-cache q/s", At("ablations.resolver.resolver_qps"), Higher(20.0)),
+    // Absolute: a warm hit allocates nothing, whatever the baseline recorded.
+    Guard {
+        base: Base::Floor,
+        ..Guard::new("resolver warm-hit allocs/query", At("ablations.resolver.cached_allocs_per_query"), Lower(1.0))
+    },
+    Guard::new("IR-over-insn dispatch advantage", IrRatio, Higher(2.0)),
+    Guard::new("fuzz fork-vs-reboot advantage", At("ablations.fuzz.fork_vs_reboot_fuzz.wall_ratio"), Higher(2.0)),
+    // A cost near 1.0: the floor keeps timer noise under a sub-1.0
+    // baseline from failing the row.
+    Guard {
+        floor: 1.0,
+        ..Guard::new("coverage hook overhead", At("ablations.fuzz.coverage_hook_overhead.overhead_ratio"), Lower(2.0))
+    },
+    Guard::new("x86 decode table-vs-hand-rolled", Decode("x86"), Higher(4.0)),
+    Guard::new("ARMv7 decode table-vs-hand-rolled", Decode("ARMv7"), Higher(4.0)),
+    Guard::new("RISC-V decode table-vs-hand-rolled", Decode("RISC-V"), Higher(4.0)),
+    Guard::new("RISC-V fuzz execs/s", At("ablations.riscv_fuzz.execs_per_sec"), Higher(20.0)),
+    // The three-ISA sum against the first ISA's cost: per-ISA rows
+    // would fail only at 20x on each ISA, a looser guard.
+    Guard { base: Base::Other(FirstVsa), ..Guard::new("VSA wall secs", SumVsa, Lower(20.0)) },
+    Guard::new("fleet 10k smoke devices/s", At("fleet_scale.smoke_devices_per_sec"), Higher(20.0)),
+];
+
+/// `x` to four significant digits.
+fn sig(x: f64) -> String {
+    let decimals = if x == 0.0 {
+        0.0
+    } else {
+        3.0 - x.abs().log10().floor()
+    };
+    format!("{x:.*}", decimals.clamp(0.0, 12.0) as usize)
+}
+
+/// Checks `current` against the baseline record `doc` (read from
+/// `path`) row by row. Returns whether every row passed, and one line
+/// per row. A row whose baseline predates its record is skipped; a row
+/// this run failed to record fails.
+fn check_guards(current: &Json, doc: &Json, path: &str) -> (bool, Vec<String>) {
+    let mut ok = true;
+    let lines = GUARDS
+        .iter()
+        .map(|g| {
+            let label = g.label;
+            let Some(now) = g.now.read(current) else {
+                ok = false;
+                return format!("bench-smoke: FAIL {label}: this run did not record it");
+            };
+            let Some(was) = g.baseline(doc) else {
+                return format!("bench-smoke: skip {label}: {path} predates its record");
+            };
+            let pass = g.passes(now, was);
+            ok &= pass;
+            let verdict = if pass { "ok  " } else { "FAIL" };
+            let op = if let Higher(_) = g.better { ">=" } else { "<=" };
+            let (now, was, bound) = (sig(now), sig(was), sig(g.bound(was)));
+            format!("bench-smoke: {verdict} {label}: {now} vs {was} in {path}, want {op} {bound}")
+        })
+        .collect();
+    (ok, lines)
+}
+
+/// `BENCH_<n>.json` files in `dir` as `(n, file name)`, highest `n`
+/// first.
+fn bench_files(dir: &Path) -> Vec<(u64, String)> {
+    let names = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    let mut files: Vec<(u64, String)> = names
+        .filter_map(|entry| entry.file_name().into_string().ok())
+        .filter_map(|name| {
+            let n = name
+                .strip_prefix("BENCH_")?
+                .strip_suffix(".json")?
+                .parse()
+                .ok()?;
+            Some((n, name))
+        })
+        .collect();
+    files.sort_unstable_by(|a, b| b.cmp(a));
+    files
+}
+
+/// The highest-numbered `BENCH_<n>.json` in `dir` that holds an
+/// `ablations` record, as `(file name, record)`. A file on the way that
+/// cannot be read or parsed is an error, not a skip.
+fn newest_baseline(dir: &Path) -> Result<Option<(String, Json)>, String> {
+    for (_, name) in bench_files(dir) {
+        let text = std::fs::read_to_string(dir.join(&name)).map_err(|e| format!("{name}: {e}"))?;
+        let doc = json::parse(&text).map_err(|e| format!("{name}: {e}"))?;
+        if doc.get("ablations").is_some() {
+            return Ok(Some((name, doc)));
+        }
+    }
+    Ok(None)
+}
+
+/// The `--bench-smoke` record: the `analysis` and `ablations` sections
+/// of a full record at `trials` per ablation arm, and the 10k-device
+/// fleet rate under `fleet_scale`.
+fn smoke_record(trials: u64) -> Json {
+    let ablations = run_ablations(trials);
+    let analysis = analysis_timings();
+    let fleet_scale = obj! { "smoke_devices_per_sec" => fleet_smoke_rate() };
+    obj! { "analysis" => analysis, "ablations" => ablations, "fleet_scale" => fleet_scale }
+}
+
+/// `--bench-smoke`: a tiny-iteration run checked against the newest
+/// committed baseline by [`GUARDS`]. Exits 1 when a row fails or the
+/// baseline does not parse; 0 with a note when no baseline exists.
 fn smoke_vs_baseline() -> i32 {
-    let current = run_ablations(SMOKE_TRIALS);
-    println!("{}", current.describe());
-    let Some((path, doc)) = newest_baseline_doc() else {
+    let baseline = match newest_baseline(Path::new(".")) {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            println!("bench-smoke: FAIL — {e}");
+            return 1;
+        }
+    };
+    let current = smoke_record(SMOKE_TRIALS);
+    println!("{current}");
+    let Some((path, doc)) = baseline else {
         println!("bench-smoke: no committed BENCH_*.json with ablations — skipping comparison");
         return 0;
     };
-    let mut failed = false;
-
-    let ratio = current.insn_ratio();
-    match json_number_after(&doc, "\"snapshot_vs_reboot\"", "\"insn_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: snapshot insn ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — snapshot advantage regressed by more than 2x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no snapshot_vs_reboot — skipping"),
+    let (ok, lines) = check_guards(&current, &doc, &path);
+    for line in lines {
+        println!("{line}");
     }
-
-    let ratio = current.template_wall_ratio();
-    match json_number_after(&doc, "\"template_vs_rebuild\"", "\"wall_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: template wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — template advantage regressed by more than 2x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no template_vs_rebuild — skipping"),
-    }
-
-    let qps = current.resolver_qps();
-    match json_number_after(&doc, "\"resolver\"", "\"resolver_qps\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: resolver {qps:.0} q/s warm cache vs {baseline:.0} baseline ({path})"
-            );
-            // Queries/sec across machines is noisy; fail only on an
-            // order-of-magnitude collapse of the warm-hit path.
-            if baseline > 0.0 && qps < baseline / 20.0 {
-                println!("bench-smoke: FAIL — resolver cache throughput collapsed more than 20x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no resolver_qps — skipping"),
-    }
-    if current.resolver_cached_allocs_per_query != 0 {
-        println!(
-            "bench-smoke: FAIL — warm resolver hits allocate ({} allocs/query; want 0)",
-            current.resolver_cached_allocs_per_query
-        );
-        failed = true;
-    }
-
-    let ratio = current.ir_vs_insn_ratio();
-    // Older baselines record the two arms under `block_vs_insn` and
-    // `ir_vs_block`; the first match of each key under `ablations` is
-    // the right arm in both layouts.
-    let insn = json_number_after(&doc, "\"ablations\"", "\"insn_wall_secs\":");
-    let ir = json_number_after(&doc, "\"ablations\"", "\"ir_wall_secs\":");
-    match insn.zip(ir) {
-        Some((insn, ir)) if ir > 0.0 => {
-            let baseline = insn / ir;
-            println!(
-                "bench-smoke: IR-vs-insn wall ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — IR dispatch advantage regressed by more than 2x");
-                failed = true;
-            }
-        }
-        _ => println!("bench-smoke: baseline {path} has no IR and insn dispatch walls — skipping"),
-    }
-
-    let ratio = current.fork_vs_reboot_fuzz_ratio();
-    match json_number_after(&doc, "\"fork_vs_reboot_fuzz\"", "\"wall_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: fuzz fork-vs-reboot ratio {ratio:.1}x vs {baseline:.1}x baseline ({path})"
-            );
-            if ratio < baseline / 2.0 {
-                println!("bench-smoke: FAIL — fuzz snapshot advantage regressed by more than 2x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no fork_vs_reboot_fuzz — skipping"),
-    }
-
-    let overhead = current.coverage_overhead_ratio();
-    match json_number_after(&doc, "\"coverage_hook_overhead\"", "\"overhead_ratio\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: coverage hook overhead {overhead:.2}x vs {baseline:.2}x baseline ({path})"
-            );
-            // Overhead is a cost (≥ ~1.0): fail when it doubles over
-            // the recorded baseline, with slack for timer noise.
-            if overhead > baseline.max(1.0) * 2.0 {
-                println!("bench-smoke: FAIL — coverage hook overhead more than doubled");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no coverage_hook_overhead — skipping"),
-    }
-
-    // Decode-table: per ISA, the declarative tables must stay within 4x
-    // of the recorded advantage over the hand-rolled reference decoders.
-    // Decode is a cold path (the predecode cache decodes each pc once
-    // per generation) and the sub-millisecond smoke passes are noisy on
-    // a shared 1-CPU host, so the guard is deliberately loose — it
-    // exists to catch accidental table blow-up (quadratic growth, a rule
-    // scan gone linear-in-rules per byte), not scheduling jitter.
-    // Baselines predating the `decode_table` record skip that ISA's
-    // comparison only.
-    for (arch, table, hand, _) in &current.decode_table {
-        let ratio = hand / table.max(1e-12);
-        match json_number_after(
-            &doc,
-            &format!("\"isa\":\"{arch}\""),
-            "\"decode_wall_ratio\":",
-        ) {
-            Some(baseline) => {
-                println!(
-                    "bench-smoke: {arch} decode table-vs-hand-rolled ratio {ratio:.2}x \
-                     vs {baseline:.2}x baseline ({path})"
-                );
-                if ratio < baseline / 4.0 {
-                    println!(
-                        "bench-smoke: FAIL — {arch} decode-table advantage regressed \
-                         by more than 4x"
-                    );
-                    failed = true;
-                }
-            }
-            None => {
-                println!("bench-smoke: baseline {path} has no {arch} decode_table — skipping")
-            }
-        }
-    }
-
-    // RISC-V fuzz throughput: execs/sec across machines is noisy, so
-    // only an order-of-magnitude collapse fails the guard. Baselines
-    // predating the `riscv_fuzz` record skip the comparison.
-    let rv = current.riscv_fuzz_execs_per_sec();
-    match json_number_after(&doc, "\"riscv_fuzz\"", "\"execs_per_sec\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: riscv fuzz {rv:.0} execs/sec vs {baseline:.0} baseline ({path})"
-            );
-            if baseline > 0.0 && rv < baseline / 20.0 {
-                println!("bench-smoke: FAIL — riscv fuzz throughput collapsed more than 20x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no riscv_fuzz — skipping"),
-    }
-
-    // Value-set analysis: a correctness smoke (the interprocedural
-    // layer must still flag the unbounded copy on both ISAs), plus a
-    // wall-time guard against the recorded per-arch cost. Baselines
-    // predating the `vsa_wall_secs` record skip the timing comparison.
-    let analysis = analysis_timings();
-    let vsa_now: f64 = analysis.iter().map(|(_, _, vsa, _)| vsa).sum();
-    match json_number_after(&doc, "\"analysis\"", "\"vsa_wall_secs\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: VSA wall {:.4}s vs {:.4}s first-arch baseline ({path})",
-                vsa_now, baseline
-            );
-            // Timing across machines is noisy; only a blow-up an order
-            // of magnitude past the recorded cost fails the guard.
-            if baseline > 0.0 && vsa_now > baseline * 20.0 {
-                println!("bench-smoke: FAIL — VSA wall time blew up more than 20x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no vsa_wall_secs — skipping"),
-    }
-
-    // Fleet scale: a 10k-device homogeneous campaign on the fast path
-    // must not collapse against the 10k rate recorded alongside the
-    // headline (same scale, so fixed per-class setup costs cancel).
-    // Wall-clock throughput across machines is noisy, so only an
-    // order-of-magnitude collapse fails the guard.
-    let smoke_spec = FleetSpec::homogeneous(10_000, 0xF1EE7);
-    let smoke_fleet = run_fleet_cfg(&smoke_spec, &FleetConfig::new(1));
-    let rate = smoke_fleet.devices_per_sec();
-    match json_number_after(&doc, "\"fleet_scale\"", "\"smoke_devices_per_sec\":") {
-        Some(baseline) => {
-            println!(
-                "bench-smoke: fleet {rate:.0} devices/sec (10k smoke) vs {baseline:.0} \
-                 baseline ({path})"
-            );
-            if baseline > 0.0 && rate < baseline / 20.0 {
-                println!("bench-smoke: FAIL — fleet throughput collapsed more than 20x");
-                failed = true;
-            }
-        }
-        None => println!("bench-smoke: baseline {path} has no fleet smoke rate — skipping"),
-    }
-
-    if failed {
+    if !ok {
         return 1;
     }
     println!("bench-smoke: OK");
     0
-}
-
-/// Finds the highest-numbered `BENCH_<n>.json` in the working directory
-/// that contains an ablation record and returns its contents.
-fn newest_baseline_doc() -> Option<(String, String)> {
-    let mut best: Option<(u64, String)> = None;
-    for entry in std::fs::read_dir(".").ok()?.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if let Some(n) = name
-            .strip_prefix("BENCH_")
-            .and_then(|s| s.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            if best.as_ref().is_none_or(|(b, _)| n > *b) {
-                best = Some((n, name));
-            }
-        }
-    }
-    let (_, path) = best?;
-    let doc = std::fs::read_to_string(&path).ok()?;
-    doc.contains("\"ablations\"").then_some(())?;
-    Some((path, doc))
-}
-
-/// Extracts the first number following `key` after `section` in a JSON
-/// document we generated ourselves (the approved dependency set has no
-/// JSON parser; our own output is regular enough for a scan).
-fn json_number_after(doc: &str, section: &str, key: &str) -> Option<f64> {
-    let tail = &doc[doc.find(section)? + section.len()..];
-    let tail = &tail[tail.find(key)? + key.len()..];
-    let end = tail
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }
 
 /// Runs the nine-cell exploit matrix (x86/ARM/RISC-V × none/W⊕X/W⊕X+ASLR) with
@@ -1138,9 +1048,9 @@ fn sanitize_matrix() -> i32 {
 /// Times one full static-analysis pipeline (CFG recovery + taint pass +
 /// frames + VSA + mitigation audit) per architecture over the OpenElec
 /// image, plus the value-set pass alone so the interprocedural layer's
-/// cost is visible separately.
-fn analysis_timings() -> Vec<(Arch, f64, f64, usize)> {
-    Arch::ALL
+/// cost is visible separately. Returns the record's `analysis` section.
+fn analysis_timings() -> Json {
+    let per_arch = Arch::ALL
         .iter()
         .map(|&arch| {
             let firmware = Firmware::build(FirmwareKind::OpenElec, arch);
@@ -1162,102 +1072,26 @@ fn analysis_timings() -> Vec<(Arch, f64, f64, usize)> {
                     .any(|v| v.tainted_writes().next().is_some()),
                 "{arch}: VSA must see the tainted copy it is being timed on"
             );
-            (arch, full, vsa, report.cfg.instructions)
+            obj! {
+                "arch" => s(arch.to_string()),
+                "wall_secs" => full,
+                "vsa_wall_secs" => vsa,
+                "instructions" => report.cfg.instructions,
+            }
         })
-        .collect()
+        .collect();
+    Value::Arr(per_arch)
 }
 
-/// `BENCH_<n>.json` one past the highest index in the working dir
-/// (never fills holes — the smoke guard baselines on the highest index,
-/// so a hole-filling name would be invisible to it).
-fn next_bench_path() -> String {
-    let next = std::fs::read_dir(".")
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter_map(|entry| {
-            entry
-                .file_name()
-                .to_string_lossy()
-                .strip_prefix("BENCH_")?
-                .strip_suffix(".json")?
-                .parse::<u64>()
-                .ok()
-        })
-        .max()
-        .map_or(0, |n| n + 1);
-    format!("BENCH_{next}.json")
-}
-
-/// The `fleet_scale` numbers recorded in `BENCH_<n>.json`: the
-/// million-device headline (weak-boot-entropy class model, shared CoW
-/// boots, batched answers, streamed report) plus the three ablation
-/// arms, each run at full boot entropy so every device pays a real
-/// session.
-struct FleetScale {
-    devices: u64,
-    jobs: usize,
-    wall_secs: f64,
-    devices_per_sec: f64,
-    sessions: u64,
-    compromised: u64,
-    ablation_devices: u64,
-    /// A 10k-device serial run — the scale the `--bench-smoke` guard
-    /// replays, recorded separately because fixed setup (one session
-    /// per address class) dominates at 10k and the headline rate does
-    /// not transfer across scales.
-    smoke_devices_per_sec: f64,
-    /// Fast path at full entropy — the per-arm comparison base.
-    full_entropy_wall_secs: f64,
-    per_worker_forge_wall_secs: f64,
-    per_device_answers_wall_secs: f64,
-    materialized_wall_secs: f64,
-}
-
-impl FleetScale {
-    fn forge_ratio(&self) -> f64 {
-        self.per_worker_forge_wall_secs / self.full_entropy_wall_secs.max(1e-9)
-    }
-
-    fn answer_ratio(&self) -> f64 {
-        self.per_device_answers_wall_secs / self.full_entropy_wall_secs.max(1e-9)
-    }
-
-    fn report_ratio(&self) -> f64 {
-        self.materialized_wall_secs / self.full_entropy_wall_secs.max(1e-9)
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "fleet_scale: {} devices in {:.3}s ({:.0} devices/sec, {} sessions, \
-             {} compromised)\n\
-             fleet_scale ablations ({} devices, full boot entropy): \
-             shared-CoW {:.3}s | per-worker forge {:.3}s ({:.2}x) | \
-             per-device answers {:.3}s ({:.2}x) | materialized report {:.3}s ({:.2}x)",
-            self.devices,
-            self.wall_secs,
-            self.devices_per_sec,
-            self.sessions,
-            self.compromised,
-            self.ablation_devices,
-            self.full_entropy_wall_secs,
-            self.per_worker_forge_wall_secs,
-            self.forge_ratio(),
-            self.per_device_answers_wall_secs,
-            self.answer_ratio(),
-            self.materialized_wall_secs,
-            self.report_ratio()
-        )
-    }
-}
-
-/// Times the headline campaign and the three fleet ablation arms.
-fn fleet_scale_timings(jobs: usize) -> FleetScale {
+/// Times the million-device headline campaign (weak-boot-entropy class
+/// model, shared CoW boots, batched answers, streamed report) and the
+/// three ablation arms, each run at full boot entropy so every device
+/// pays a real session. Returns the record's `fleet_scale` section.
+fn fleet_scale_timings(jobs: usize) -> Json {
     let spec = FleetSpec::homogeneous(FLEET_SCALE_DEVICES, 0xF1EE7);
     let headline = run_fleet_cfg(&spec, &FleetConfig::new(jobs));
 
-    let smoke_spec = FleetSpec::homogeneous(10_000, 0xF1EE7);
-    let smoke = run_fleet_cfg(&smoke_spec, &FleetConfig::new(1));
+    let smoke_rate = fleet_smoke_rate();
 
     let mut ab_spec = FleetSpec::homogeneous(FLEET_ABLATION_DEVICES, 0xF1EE7);
     ab_spec.cohorts[0].entropy_bits = ENTROPY_FULL;
@@ -1301,197 +1135,170 @@ fn fleet_scale_timings(jobs: usize) -> FleetScale {
         materialized.render(),
         "streamed and materialized reports must agree before their times are comparable"
     );
-    FleetScale {
-        devices: headline.devices,
-        jobs: headline.jobs,
-        wall_secs: headline.elapsed.as_secs_f64(),
-        devices_per_sec: headline.devices_per_sec(),
-        sessions: headline.sessions,
-        compromised: headline.compromised() as u64,
-        ablation_devices: FLEET_ABLATION_DEVICES,
-        smoke_devices_per_sec: smoke.devices_per_sec(),
-        full_entropy_wall_secs: base.elapsed.as_secs_f64(),
-        per_worker_forge_wall_secs: per_worker.elapsed.as_secs_f64(),
-        per_device_answers_wall_secs: live.elapsed.as_secs_f64(),
-        materialized_wall_secs: materialized.elapsed.as_secs_f64(),
+    let full = base.elapsed.as_secs_f64();
+    let secs = |r: &FleetReport| r.elapsed.as_secs_f64();
+    obj! {
+        "devices" => headline.devices,
+        "jobs" => headline.jobs,
+        "wall_secs" => secs(&headline),
+        "devices_per_sec" => headline.devices_per_sec(),
+        "sessions" => headline.sessions,
+        "compromised" => headline.compromised(),
+        "ablation_devices" => FLEET_ABLATION_DEVICES,
+        "smoke_devices_per_sec" => smoke_rate,
+        "full_entropy_wall_secs" => full,
+        "per_worker_forge_wall_secs" => secs(&per_worker),
+        "forge_ratio" => secs(&per_worker) / full.max(1e-9),
+        "per_device_answers_wall_secs" => secs(&live),
+        "answer_ratio" => secs(&live) / full.max(1e-9),
+        "materialized_wall_secs" => secs(&materialized),
+        "report_ratio" => secs(&materialized) / full.max(1e-9),
     }
 }
 
-fn bench_json_doc(
-    jobs: usize,
-    timings: &[(String, f64)],
-    fleet: &cml_core::fleet::FleetReport,
-    scale: &FleetScale,
-    analysis: &[(Arch, f64, f64, usize)],
-    ablations: &Ablations,
-) -> String {
-    let exps: Vec<String> = timings
-        .iter()
-        .map(|(id, secs)| format!("{{\"id\":\"{id}\",\"wall_secs\":{secs:.6}}}"))
-        .collect();
-    let ana: Vec<String> = analysis
-        .iter()
-        .map(|(arch, secs, vsa_secs, insns)| {
-            format!(
-                "{{\"arch\":\"{arch}\",\"wall_secs\":{secs:.6},\
-                 \"vsa_wall_secs\":{vsa_secs:.6},\"instructions\":{insns}}}"
-            )
-        })
-        .collect();
-    let decode: Vec<String> = ablations
-        .decode_table
-        .iter()
-        .map(|(arch, table, hand, insns)| {
-            format!(
-                "{{\"isa\":\"{arch}\",\"table_wall_secs\":{table:.6},\
-                 \"handrolled_wall_secs\":{hand:.6},\"insns_per_pass\":{insns},\
-                 \"decode_wall_ratio\":{:.3}}}",
-                hand / table.max(1e-12)
-            )
-        })
-        .collect();
-    let abl = format!(
-        "{{\"snapshot_vs_reboot\":{{\"trials\":{},\"fresh_insns_per_trial\":{},\
-         \"forked_insns_per_trial\":{},\"insn_ratio\":{:.2},\"fresh_wall_secs\":{:.6},\
-         \"forked_wall_secs\":{:.6}}},\"ir_vs_insn\":{{\"trials\":{},\
-         \"insns_per_trial\":{},\"ir_wall_secs\":{:.6},\"insn_wall_secs\":{:.6},\
-         \"wall_ratio\":{:.2}}},\
-         \"template_vs_rebuild\":{{\"builds\":{},\"rebuild_wall_secs\":{:.6},\
-         \"template_wall_secs\":{:.6},\"wall_ratio\":{:.2},\
-         \"rebuild_allocs_per_build\":{},\"template_allocs_per_build\":{}}},\
-         \"pooled_vs_alloc\":{{\"queries\":{},\"alloc_wall_secs\":{:.6},\
-         \"pooled_wall_secs\":{:.6},\"wall_ratio\":{:.2},\
-         \"alloc_allocs_per_query\":{},\"pooled_allocs_per_query\":{}}},\
-         \"resolver\":{{\"queries\":{},\"cached_wall_secs\":{:.6},\
-         \"resolver_qps\":{:.0},\"cached_allocs_per_query\":{},\
-         \"alloc_wall_secs\":{:.6},\"alloc_ratio\":{:.2},\
-         \"alloc_allocs_per_query\":{},\"uncached_queries\":{},\
-         \"uncached_wall_secs\":{:.6},\"cache_off_ratio\":{:.2}}},\
-         \"fuzz\":{{\"execs\":{},\"fuzz_execs_per_sec\":{:.2},\
-         \"coverage_hook_overhead\":{{\"replay_execs\":{},\"on_wall_secs\":{:.6},\
-         \"off_wall_secs\":{:.6},\"overhead_ratio\":{:.3}}},\
-         \"fork_vs_reboot_fuzz\":{{\"fork_wall_secs\":{:.6},\
-         \"reboot_wall_secs\":{:.6},\"wall_ratio\":{:.2}}}}},\
-         \"decode_table\":[{}],\
-         \"riscv_fuzz\":{{\"execs\":{},\"wall_secs\":{:.6},\
-         \"execs_per_sec\":{:.2}}}}}",
-        ablations.trials,
-        ablations.fresh_insns,
-        ablations.forked_insns,
-        ablations.insn_ratio(),
-        ablations.fresh_wall_secs,
-        ablations.forked_wall_secs,
-        ablations.trials,
-        ablations.dispatch_insns,
-        ablations.ir_wall_secs,
-        ablations.insn_wall_secs,
-        ablations.ir_vs_insn_ratio(),
-        ablations.pooled_queries,
-        ablations.rebuild_wall_secs,
-        ablations.template_wall_secs,
-        ablations.template_wall_ratio(),
-        ablations.rebuild_allocs_per_build,
-        ablations.template_allocs_per_build,
-        ablations.pooled_queries,
-        ablations.alloc_wall_secs,
-        ablations.pooled_wall_secs,
-        ablations.pooled_wall_ratio(),
-        ablations.alloc_allocs_per_query,
-        ablations.pooled_allocs_per_query,
-        ablations.resolver_queries,
-        ablations.resolver_cached_wall_secs,
-        ablations.resolver_qps(),
-        ablations.resolver_cached_allocs_per_query,
-        ablations.resolver_alloc_wall_secs,
-        ablations.resolver_alloc_ratio(),
-        ablations.resolver_alloc_allocs_per_query,
-        ablations.resolver_uncached_queries,
-        ablations.resolver_uncached_wall_secs,
-        ablations.resolver_cache_off_ratio(),
-        ablations.fuzz_execs,
-        ablations.fuzz_execs_per_sec(),
-        ablations.cov_replay_execs,
-        ablations.cov_on_wall_secs,
-        ablations.cov_off_wall_secs,
-        ablations.coverage_overhead_ratio(),
-        ablations.fuzz_wall_secs,
-        ablations.fuzz_reboot_wall_secs,
-        ablations.fork_vs_reboot_fuzz_ratio(),
-        decode.join(","),
-        ablations.riscv_fuzz_execs,
-        ablations.riscv_fuzz_wall_secs,
-        ablations.riscv_fuzz_execs_per_sec()
-    );
-    format!(
-        "{{\"jobs\":{jobs},\"experiments\":[{}],\"analysis\":[{}],\"ablations\":{},\
-         \"fleet\":{{\"devices\":{},\
-         \"jobs\":{},\"wall_secs\":{:.6},\"devices_per_sec\":{:.2},\
-         \"compromised\":{},\"survivors\":{}}},\
-         \"fleet_scale\":{{\"devices\":{},\"jobs\":{},\"wall_secs\":{:.6},\
-         \"devices_per_sec\":{:.2},\"sessions\":{},\"compromised\":{},\
-         \"ablation_devices\":{},\"smoke_devices_per_sec\":{:.2},\
-         \"full_entropy_wall_secs\":{:.6},\
-         \"per_worker_forge_wall_secs\":{:.6},\"forge_ratio\":{:.2},\
-         \"per_device_answers_wall_secs\":{:.6},\"answer_ratio\":{:.2},\
-         \"materialized_wall_secs\":{:.6},\"report_ratio\":{:.2}}}}}\n",
-        exps.join(","),
-        ana.join(","),
-        abl,
-        fleet.devices,
-        fleet.jobs,
-        fleet.elapsed.as_secs_f64(),
-        fleet.devices_per_sec(),
-        fleet.compromised(),
-        fleet.survivors(),
-        scale.devices,
-        scale.jobs,
-        scale.wall_secs,
-        scale.devices_per_sec,
-        scale.sessions,
-        scale.compromised,
-        scale.ablation_devices,
-        scale.smoke_devices_per_sec,
-        scale.full_entropy_wall_secs,
-        scale.per_worker_forge_wall_secs,
-        scale.forge_ratio(),
-        scale.per_device_answers_wall_secs,
-        scale.answer_ratio(),
-        scale.materialized_wall_secs,
-        scale.report_ratio()
-    )
+/// Devices/sec of a serial 10k-device homogeneous campaign: the scale
+/// the bench-smoke fleet guard replays. It is recorded beside the
+/// headline because fixed setup (one session per address class)
+/// dominates at 10k, so the headline rate does not transfer.
+fn fleet_smoke_rate() -> f64 {
+    let spec = FleetSpec::homogeneous(10_000, 0xF1EE7);
+    run_fleet_cfg(&spec, &FleetConfig::new(1)).devices_per_sec()
 }
 
-/// Minimal JSON rendering (the approved dependency set has serde but not
-/// serde_json; tables are simple enough to emit by hand).
-fn to_json(suite: &Suite) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
+/// `repro --json`: every table as `{"tables":[{id,title,header,rows,notes}]}`.
+fn suite_json(suite: &Suite) -> Value<'_> {
+    fn strs(cells: &[String]) -> Value<'_> {
+        Value::Arr(cells.iter().map(|c| s(c.as_str())).collect())
     }
-    let tables: Vec<String> = suite
-        .tables
-        .iter()
-        .map(|t| {
-            let rows: Vec<String> = t
-                .rows
-                .iter()
-                .map(|r| {
-                    let cells: Vec<String> = r.iter().map(|c| format!("\"{}\"", esc(c))).collect();
-                    format!("[{}]", cells.join(","))
-                })
-                .collect();
-            let header: Vec<String> = t.header.iter().map(|h| format!("\"{}\"", esc(h))).collect();
-            let notes: Vec<String> = t.notes.iter().map(|n| format!("\"{}\"", esc(n))).collect();
-            format!(
-                "{{\"id\":\"{}\",\"title\":\"{}\",\"header\":[{}],\"rows\":[{}],\"notes\":[{}]}}",
-                esc(&t.id),
-                esc(&t.title),
-                header.join(","),
-                rows.join(","),
-                notes.join(",")
-            )
-        })
-        .collect();
-    format!("{{\"tables\":[{}]}}", tables.join(","))
+    let tables = suite.tables.iter().map(|t| {
+        obj! {
+            "id" => s(t.id.as_str()),
+            "title" => s(t.title.as_str()),
+            "header" => strs(&t.header),
+            "rows" => Value::Arr(t.rows.iter().map(|r| strs(r)).collect()),
+            "notes" => strs(&t.notes),
+        }
+    });
+    obj! { "tables" => Value::Arr(tables.collect()) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cml_core::report::Table;
+
+    fn committed(text: &str) -> Json {
+        json::parse(text).expect("committed record parses")
+    }
+
+    /// Per row: the baseline the substring scanner this table replaced
+    /// read from BENCH_10.json, and the bound its guard applied.
+    const BENCH_10: [(&str, f64, f64); 13] = [
+        ("snapshot fork insn advantage", 3075.0, 3075.0 / 2.0),
+        ("template relocation wall advantage", 441.96, 441.96 / 2.0),
+        ("resolver warm-cache q/s", 12945557.0, 12945557.0 / 20.0),
+        ("resolver warm-hit allocs/query", 0.0, 0.0),
+        (
+            "IR-over-insn dispatch advantage",
+            0.35548 / 0.023106,
+            0.35548 / 0.023106 / 2.0,
+        ),
+        ("fuzz fork-vs-reboot advantage", 26.90, 26.90 / 2.0),
+        ("coverage hook overhead", 1.293, 1.293 * 2.0),
+        ("x86 decode table-vs-hand-rolled", 1.078, 1.078 / 4.0),
+        ("ARMv7 decode table-vs-hand-rolled", 0.762, 0.762 / 4.0),
+        ("RISC-V decode table-vs-hand-rolled", 0.703, 0.703 / 4.0),
+        ("RISC-V fuzz execs/s", 114725.88, 114725.88 / 20.0),
+        ("VSA wall secs", 0.000062, 0.000062 * 20.0),
+        ("fleet 10k smoke devices/s", 338178.36, 338178.36 / 20.0),
+    ];
+
+    #[test]
+    fn guards_read_the_bench_10_baselines_and_flip_at_their_bounds() {
+        let doc = committed(include_str!("../../../../BENCH_10.json"));
+        for (g, (label, was, bound)) in GUARDS.iter().zip(BENCH_10) {
+            assert_eq!(g.label, label);
+            assert_eq!(g.baseline(&doc), Some(was), "{label}");
+            assert_eq!(g.bound(was), bound, "{label}");
+            assert!(g.passes(bound, was), "{label} passes at its bound");
+            let past = match g.better {
+                Higher(_) => bound.next_down(),
+                Lower(_) => bound.next_up(),
+            };
+            assert!(!g.passes(past, was), "{label} fails just past its bound");
+        }
+        // The coverage row clamps a sub-1.0 baseline up to 1.0.
+        let coverage = &GUARDS[6];
+        assert!(coverage.passes(2.0, 0.5) && !coverage.passes(2.0f64.next_up(), 0.5));
+        // The warm-hit row is absolute: one allocation per query fails.
+        assert!(!GUARDS[3].passes(1.0, 0.0));
+    }
+
+    #[test]
+    fn a_record_this_binary_builds_resolves_every_row() {
+        let record = smoke_record(1);
+        for g in &GUARDS {
+            assert!(g.now.read(&record).is_some(), "{} now", g.label);
+            assert!(g.baseline(&record).is_some(), "{} as a baseline", g.label);
+        }
+    }
+
+    #[test]
+    fn rows_a_baseline_predates_skip_with_a_note() {
+        let bench_10 = committed(include_str!("../../../../BENCH_10.json"));
+        let bench_3 = committed(include_str!("../../../../BENCH_3.json"));
+        let (ok, lines) = check_guards(&bench_10, &bench_3, "BENCH_3.json");
+        assert!(ok);
+        let checked: Vec<&str> = GUARDS
+            .iter()
+            .zip(&lines)
+            .filter(|(_, line)| !line.starts_with("bench-smoke: skip"))
+            .map(|(g, _)| g.label)
+            .collect();
+        assert_eq!(
+            checked,
+            [
+                "snapshot fork insn advantage",
+                "resolver warm-hit allocs/query"
+            ]
+        );
+        assert_eq!(
+            lines[1],
+            "bench-smoke: skip template relocation wall advantage: BENCH_3.json predates its record"
+        );
+        assert!(check_guards(&bench_10, &bench_10, "BENCH_10.json").0);
+    }
+
+    #[test]
+    fn baseline_is_the_newest_record_with_ablations_and_a_bad_one_fails() {
+        let dir = std::env::temp_dir().join(format!("repro-baseline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, text: &str| std::fs::write(dir.join(name), text).unwrap();
+        write("BENCH_3.json", r#"{"ablations":{}}"#);
+        write("BENCH_12.json", r#"{"jobs":1}"#);
+        write("BENCH_x.json", "not a record");
+        let (name, _) = newest_baseline(&dir)
+            .unwrap()
+            .expect("BENCH_3 has ablations");
+        assert_eq!(name, "BENCH_3.json");
+        assert_eq!(bench_files(&dir)[0].0, 12);
+        write("BENCH_20.json", r#"{"ablations":"#);
+        let err = newest_baseline(&dir).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(err.starts_with("BENCH_20.json: json parse error"), "{err}");
+    }
+
+    #[test]
+    fn json_tables_escape_control_bytes_and_round_trip() {
+        let mut table = Table::new("E0", "escapes", &["cell"]);
+        table.row(["quote \" backslash \\"]);
+        table.note("tab\there, soh\u{1}, cr\r, newline\n");
+        let suite = Suite {
+            tables: vec![table],
+        };
+        let tree = suite_json(&suite);
+        let text = tree.to_string();
+        assert!(text.bytes().all(|b| b >= 0x20), "{text}");
+        assert_eq!(json::parse(&text).unwrap(), tree);
+    }
 }
