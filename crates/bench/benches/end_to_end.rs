@@ -22,14 +22,12 @@ fn bench_exploits(c: &mut Criterion) {
         let fw = Firmware::build(FirmwareKind::OpenElec, arch);
         for strategy in strategies_for(arch) {
             let protections = protections_for(strategy.paper_section());
-            let fw2 = fw.clone();
-            let info = TargetInfo::gather(fw.image(), move || fw2.boot(protections, 5))
+            let info = TargetInfo::gather(fw.image(), || fw.boot(protections, 5))
                 .expect("vulnerable firmware");
             let labels = strategy.build(&info).unwrap().to_labels().unwrap();
-            let fw3 = fw.clone();
             g.bench_function(format!("{}_{arch}", strategy.paper_section()), |b| {
                 b.iter_batched(
-                    || fw3.boot(protections, 0xD00D),
+                    || fw.boot(protections, 0xD00D),
                     |mut victim| {
                         let out = deliver_labels(&mut victim, labels.clone()).unwrap();
                         assert!(out.is_root_shell(), "{out}");

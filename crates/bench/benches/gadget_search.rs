@@ -1,9 +1,9 @@
 //! Gadget-finder benchmarks (the `ropper` / `ROPgadget` step).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
-use cml_exploit::GadgetSet;
-use cml_firmware::{Arch, Firmware, FirmwareKind};
+use cml_exploit::{GadgetSet, TargetInfo};
+use cml_firmware::{Arch, Firmware, FirmwareKind, Protections};
 
 fn bench_scan(c: &mut Criterion) {
     for arch in Arch::ALL {
@@ -30,10 +30,29 @@ fn bench_queries(c: &mut Criterion) {
                 .addr
         })
     });
-    c.bench_function("gadget/memstr_slash", |b| {
-        b.iter(|| black_box(fw_x86.image()).find_bytes(b"/"))
-    });
 }
 
-criterion_group!(benches, bench_scan, bench_queries);
+/// Recon's static harvest (PLT, libc symbols, `--memstr` characters,
+/// gadgets) as the retarget loop issues it: once per freshly built image.
+fn bench_static_harvest(c: &mut Criterion) {
+    for (arch, tag) in [
+        (Arch::X86, "x86"),
+        (Arch::Armv7, "arm"),
+        (Arch::Riscv, "riscv"),
+    ] {
+        let fw = Firmware::build(FirmwareKind::OpenElec, arch);
+        let frame = TargetInfo::gather(fw.image(), || fw.boot(Protections::full(), 5))
+            .expect("vulnerable firmware")
+            .frame;
+        c.bench_function(format!("recon/static_harvest_{tag}"), |b| {
+            b.iter_batched(
+                || Firmware::build(FirmwareKind::OpenElec, arch),
+                |fw| TargetInfo::from_parts(fw.image(), frame.clone()),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+}
+
+criterion_group!(benches, bench_scan, bench_queries, bench_static_harvest);
 criterion_main!(benches);

@@ -13,10 +13,7 @@ fn bench_recon(c: &mut Criterion) {
     for arch in Arch::ALL {
         let fw = Firmware::build(FirmwareKind::OpenElec, arch);
         g.bench_function(format!("gather_{arch}"), |b| {
-            b.iter(|| {
-                let fw2 = fw.clone();
-                TargetInfo::gather(fw.image(), move || fw2.boot(Protections::full(), 5)).unwrap()
-            })
+            b.iter(|| TargetInfo::gather(fw.image(), || fw.boot(Protections::full(), 5)).unwrap())
         });
     }
     g.finish();
@@ -25,9 +22,7 @@ fn bench_recon(c: &mut Criterion) {
 fn bench_strategy_build(c: &mut Criterion) {
     for arch in Arch::ALL {
         let fw = Firmware::build(FirmwareKind::OpenElec, arch);
-        let fw2 = fw.clone();
-        let info =
-            TargetInfo::gather(fw.image(), move || fw2.boot(Protections::full(), 5)).unwrap();
+        let info = TargetInfo::gather(fw.image(), || fw.boot(Protections::full(), 5)).unwrap();
         for strategy in strategies_for(arch) {
             c.bench_function(format!("build/{}_{arch}", strategy.name()), |b| {
                 b.iter(|| strategy.build(black_box(&info)).unwrap())

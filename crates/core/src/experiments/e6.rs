@@ -84,8 +84,7 @@ pub fn run_jobs(jobs: usize) -> Table {
                 derive_seed(crate::lab::VICTIM_SEED, row_id as u64 * CELLS_PER_ROW + 4);
             let fw0 = Firmware::build_variant(FirmwareKind::OpenElec, arch, 0);
             let fw1 = Firmware::build_variant(FirmwareKind::OpenElec, arch, 1);
-            let fw0b = fw0.clone();
-            TargetInfo::gather(fw0.image(), move || fw0b.boot(Protections::full(), 0xA11C))
+            TargetInfo::gather(fw0.image(), || fw0.boot(Protections::full(), 0xA11C))
                 .map_err(|e| e.to_string())
                 .and_then(|info| {
                     strategy

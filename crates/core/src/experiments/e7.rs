@@ -42,21 +42,19 @@ pub fn run_jobs(jobs: usize) -> Table {
     }
     let builds = runner.run(part_one, |cell_id, (arch, variant)| {
         let fw = Firmware::build_variant(FirmwareKind::OpenElec, arch, variant);
-        let fw2 = fw.clone();
-        let info =
-            match TargetInfo::gather(fw.image(), move || fw2.boot(Protections::full(), 0xA11C)) {
-                Ok(i) => i,
-                Err(e) => {
-                    let row = vec![
-                        arch.to_string(),
-                        variant.to_string(),
-                        "-".into(),
-                        "-".into(),
-                        format!("recon error: {e}"),
-                    ];
-                    return (row, None);
-                }
-            };
+        let info = match TargetInfo::gather(fw.image(), || fw.boot(Protections::full(), 0xA11C)) {
+            Ok(i) => i,
+            Err(e) => {
+                let row = vec![
+                    arch.to_string(),
+                    variant.to_string(),
+                    "-".into(),
+                    "-".into(),
+                    format!("recon error: {e}"),
+                ];
+                return (row, None);
+            }
+        };
         let gadget = match arch {
             Arch::X86 => info.gadgets.x86_pop_chain(4).map(|g| g.addr),
             Arch::Armv7 => info
@@ -121,9 +119,8 @@ pub fn run_jobs(jobs: usize) -> Table {
     }
     let service_rows = runner.run(part_two, |cell_id, (arch, service)| {
         let fw = Firmware::build(FirmwareKind::OpenElec, arch);
-        let fw2 = fw.clone();
-        let outcome = TargetInfo::gather(fw.image(), move || {
-            fw2.boot_service(Protections::full(), 0xA11C, service)
+        let outcome = TargetInfo::gather(fw.image(), || {
+            fw.boot_service(Protections::full(), 0xA11C, service)
         })
         .map_err(|e| e.to_string())
         .and_then(|info| {

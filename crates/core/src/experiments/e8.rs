@@ -42,8 +42,7 @@ pub fn run_with(snapshot: bool) -> Table {
     );
     let fw = Firmware::build(FirmwareKind::OpenElec, Arch::X86);
     // Recon once on a no-ASLR replica for geometry and link addresses.
-    let fw2 = fw.clone();
-    let base_info = TargetInfo::gather(fw.image(), move || fw2.boot(Protections::wxorx(), 0xA11C))
+    let base_info = TargetInfo::gather(fw.image(), || fw.boot(Protections::wxorx(), 0xA11C))
         .expect("vulnerable firmware");
 
     // The payload is compiled once into a relocatable template; the

@@ -170,12 +170,11 @@ impl Lab {
     /// Returns [`LabError::Recon`] when the firmware does not behave
     /// like a vulnerable Connman.
     pub fn recon(&self) -> Result<TargetInfo, LabError> {
-        let fw = self.firmware.clone();
         let mut protections = self.protections;
         protections.stack_canary = false;
         protections.cfi = false;
-        TargetInfo::gather(self.firmware.image(), move || {
-            fw.boot(protections, RECON_SEED)
+        TargetInfo::gather(self.firmware.image(), || {
+            self.firmware.boot(protections, RECON_SEED)
         })
         .map_err(LabError::Recon)
     }

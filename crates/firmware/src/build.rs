@@ -761,23 +761,13 @@ fn build_libc(b: &mut ImageBuilder, arch: Arch, libc_base: Addr) {
     // Initialized libc bytes: fill up to the string so it is present.
     // (Sections zero-fill; we only need bytes at the string offset, but
     // the builder appends linearly, so pad.)
-    let ret_fill: Vec<u8> = match arch {
-        Arch::X86 => std::iter::repeat_n(0xC3u8, libc_off::STR_BIN_SH as usize).collect(),
-        Arch::Armv7 => 0xE12F_FF1Eu32 // bx lr
-            .to_le_bytes()
-            .iter()
-            .copied()
-            .cycle()
-            .take(libc_off::STR_BIN_SH as usize)
-            .collect(),
-        Arch::Riscv => 0x8082u16 // c.jr ra
-            .to_le_bytes()
-            .iter()
-            .copied()
-            .cycle()
-            .take(libc_off::STR_BIN_SH as usize)
-            .collect(),
+    // The filler is whole return instructions (STR_BIN_SH is 4-aligned).
+    let ret: &[u8] = match arch {
+        Arch::X86 => &[0xC3],
+        Arch::Armv7 => &0xE12F_FF1Eu32.to_le_bytes(), // bx lr
+        Arch::Riscv => &0x8082u16.to_le_bytes(),      // c.jr ra
     };
+    let ret_fill = ret.repeat(libc_off::STR_BIN_SH as usize / ret.len());
     b.append_code(SectionKind::Libc, &ret_fill);
     b.append_code(SectionKind::Libc, b"/bin/sh\0");
 }

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::{Addr, Arch, Section, SectionKind, Symbol};
 
@@ -50,47 +49,6 @@ pub struct Image {
     sections: Vec<Section>,
     symbols: Vec<Symbol>,
     by_name: HashMap<String, usize>,
-    /// Lazily-built byte-occurrence index backing [`Image::find_bytes`]
-    /// (safe to memoise: the image is immutable once built).
-    byte_index: OnceLock<ByteIndex>,
-}
-
-/// Counting-sort layout of every byte in the readable sections:
-/// `posns[starts[b]..starts[b + 1]]` lists the `(section, offset)` of
-/// each occurrence of byte value `b`, in section-insertion order — the
-/// exact order a linear sweep would visit them.
-#[derive(Debug, Clone, Default)]
-struct ByteIndex {
-    starts: Vec<u32>,
-    posns: Vec<(u32, u32)>,
-}
-
-impl ByteIndex {
-    fn build(sections: &[Section]) -> ByteIndex {
-        let mut counts = [0u32; 256];
-        for s in sections.iter().filter(|s| s.perms().readable()) {
-            for &b in s.bytes() {
-                counts[b as usize] += 1;
-            }
-        }
-        let mut starts = vec![0u32; 257];
-        for (i, &c) in counts.iter().enumerate() {
-            starts[i + 1] = starts[i] + c;
-        }
-        let mut cursor: Vec<u32> = starts[..256].to_vec();
-        let mut posns = vec![(0u32, 0u32); starts[256] as usize];
-        for (si, s) in sections.iter().enumerate() {
-            if !s.perms().readable() {
-                continue;
-            }
-            for (off, &b) in s.bytes().iter().enumerate() {
-                let at = &mut cursor[b as usize];
-                posns[*at as usize] = (si as u32, off as u32);
-                *at += 1;
-            }
-        }
-        ByteIndex { starts, posns }
-    }
 }
 
 impl Image {
@@ -124,7 +82,6 @@ impl Image {
             sections,
             symbols,
             by_name,
-            byte_index: OnceLock::new(),
         })
     }
 
@@ -180,23 +137,18 @@ impl Image {
     /// `ROPgadget --memstr`, which the paper uses to find single
     /// characters of `/bin/sh` in Connman's memory.
     pub fn find_bytes(&self, needle: &[u8]) -> Vec<Addr> {
-        let Some(&first) = needle.first() else {
+        if needle.is_empty() {
             return Vec::new();
-        };
-        // The index enumerates candidate positions of the first needle
-        // byte directly; only those get the (rare) full comparison.
-        let idx = self
-            .byte_index
-            .get_or_init(|| ByteIndex::build(&self.sections));
-        let range = idx.starts[first as usize] as usize..idx.starts[first as usize + 1] as usize;
+        }
         let mut hits = Vec::new();
-        for &(si, off) in &idx.posns[range] {
-            let s = &self.sections[si as usize];
-            let bytes = s.bytes();
-            let off = off as usize;
-            if off + needle.len() <= bytes.len() && &bytes[off..off + needle.len()] == needle {
-                hits.push(s.base() + off as Addr);
-            }
+        for s in self.sections.iter().filter(|s| s.perms().readable()) {
+            hits.extend(
+                s.bytes()
+                    .windows(needle.len())
+                    .enumerate()
+                    .filter(|(_, w)| *w == needle)
+                    .map(|(off, _)| s.base() + off as Addr),
+            );
         }
         hits
     }

@@ -16,8 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Arch::X86;
     let fw = Firmware::build(FirmwareKind::OpenElec, arch);
     println!("=== 1. reconnaissance (simulated gdb) ===");
-    let fw2 = fw.clone();
-    let info = TargetInfo::gather(fw.image(), move || fw2.boot(Protections::full(), 5))?;
+    let info = TargetInfo::gather(fw.image(), || fw.boot(Protections::full(), 5))?;
     println!("buffer→ret offset : {}", info.frame.ret_offset);
     println!(
         "buffer address    : {:#010x} (reference boot)",

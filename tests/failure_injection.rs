@@ -85,9 +85,7 @@ fn wrong_arch_payload_crashes_but_never_shells() {
     use connman_lab::ExploitStrategy;
 
     let x86_fw = Firmware::build(FirmwareKind::OpenElec, Arch::X86);
-    let fw2 = x86_fw.clone();
-    let info =
-        TargetInfo::gather(x86_fw.image(), move || fw2.boot(Protections::none(), 5)).unwrap();
+    let info = TargetInfo::gather(x86_fw.image(), || x86_fw.boot(Protections::none(), 5)).unwrap();
     let labels = RopMemcpyChain::new(Arch::X86)
         .build(&info)
         .unwrap()
