@@ -277,6 +277,11 @@ const SMOKE_TRIALS: u64 = 6;
 /// template relocation or pooled query is far below timer resolution).
 const PATH_REPS: u64 = 64;
 
+/// Alternating rebuild/template windows behind the recorded
+/// `template_vs_rebuild.wall_ratio` (their median; odd, so the median
+/// is one window's reading).
+const TEMPLATE_WINDOWS: usize = 5;
+
 /// Runs the ablations at `trials` iterations per arm. The snapshot and
 /// dispatch workloads are one E8-style trial: boot (or fork) an
 /// OpenELEC/x86 daemon under full protections and deliver one oversized
@@ -346,37 +351,50 @@ fn run_ablations(trials: u64) -> Json {
     };
     let reps = trials * PATH_REPS;
 
-    let a0 = allocs_so_far();
-    let t0 = Instant::now();
-    for i in 0..reps {
+    let rebuild = |i| {
         let labels = strategy
             .build(&apply_slides(&reference, &slides_for(i)))
             .expect("rebuild against the slid target")
             .to_labels()
             .expect("rebuild labels");
         std::hint::black_box(&labels);
-    }
-    let rebuild_wall_secs = t0.elapsed().as_secs_f64();
-    let rebuild_allocs = allocs_so_far() - a0;
-
+    };
     let mut image_buf = Vec::new();
     let mut label_buf = Vec::new();
-    for i in 0..4 {
-        // Warm-up sizes the buffers before the measured window.
-        template
-            .relocate_labels(&slides_for(i), &mut image_buf, &mut label_buf)
-            .expect("static plan");
-    }
-    let a0 = allocs_so_far();
-    let t0 = Instant::now();
-    for i in 0..reps {
+    let mut relocate = |i| {
         template
             .relocate_labels(&slides_for(i), &mut image_buf, &mut label_buf)
             .expect("static plan");
         std::hint::black_box(&label_buf);
+    };
+    for i in 0..4 {
+        // Warm-up sizes the buffers before the measured windows.
+        relocate(i);
     }
-    let template_wall_secs = t0.elapsed().as_secs_f64();
-    let template_allocs = allocs_so_far() - a0;
+    // Alternating rebuild/template windows of `reps` builds each. The
+    // template window lasts microseconds, so one interrupt can skew a
+    // single reading; the recorded ratio is the median window's, with
+    // the extremes beside it.
+    let (mut rebuild_wall_secs, mut template_wall_secs) = (0.0f64, 0.0f64);
+    let (mut rebuild_allocs, mut template_allocs) = (0u64, 0u64);
+    let mut template_ratios = [0.0f64; TEMPLATE_WINDOWS];
+    for ratio in &mut template_ratios {
+        let a0 = allocs_so_far();
+        let t0 = Instant::now();
+        (0..reps).for_each(rebuild);
+        let rebuild_secs = t0.elapsed().as_secs_f64();
+        rebuild_allocs += allocs_so_far() - a0;
+        let a0 = allocs_so_far();
+        let t0 = Instant::now();
+        (0..reps).for_each(&mut relocate);
+        let template_secs = t0.elapsed().as_secs_f64();
+        template_allocs += allocs_so_far() - a0;
+        rebuild_wall_secs += rebuild_secs;
+        template_wall_secs += template_secs;
+        *ratio = rebuild_secs / template_secs.max(1e-12);
+    }
+    template_ratios.sort_by(f64::total_cmp);
+    let template_builds = reps * TEMPLATE_WINDOWS as u64;
 
     // Pool ablation: answering the canonical proxy query into a fresh
     // Vec per query vs. into a warm pooled buffer.
@@ -621,12 +639,15 @@ fn run_ablations(trials: u64) -> Json {
             "wall_ratio" => dispatch[1] / dispatch[0].max(1e-12),
         },
         "template_vs_rebuild" => obj! {
-            "builds" => reps,
+            "builds" => template_builds,
+            "windows" => TEMPLATE_WINDOWS,
             "rebuild_wall_secs" => rebuild_wall_secs,
             "template_wall_secs" => template_wall_secs,
-            "wall_ratio" => rebuild_wall_secs / template_wall_secs.max(1e-12),
-            "rebuild_allocs_per_build" => rebuild_allocs / reps.max(1),
-            "template_allocs_per_build" => template_allocs / reps.max(1),
+            "wall_ratio" => template_ratios[TEMPLATE_WINDOWS / 2],
+            "wall_ratio_min" => template_ratios[0],
+            "wall_ratio_max" => template_ratios[TEMPLATE_WINDOWS - 1],
+            "rebuild_allocs_per_build" => rebuild_allocs / template_builds.max(1),
+            "template_allocs_per_build" => template_allocs / template_builds.max(1),
         },
         "pooled_vs_alloc" => obj! {
             "queries" => reps,

@@ -336,13 +336,14 @@ impl Daemon {
             bytes.first().copied().unwrap_or(0),
             bytes.get(1).copied().unwrap_or(0),
         ]);
-        let Some(pending) = self.pending.get(&found_id).cloned() else {
+        let Some(pending) = self.pending.get(&found_id) else {
             return ProxyOutcome::Rejected(ResponseRejection::IdMismatch {
                 expected: 0,
                 found: found_id,
             });
         };
-        // 1. Header gate — "otherwise Connman dumps the packet".
+        // 1. Header gate — "otherwise Connman dumps the packet". The
+        //    query stays in the table until the answered path removes it.
         let gate = match gate_response(pending.message(), bytes) {
             Ok(g) => g,
             Err(rej) => return ProxyOutcome::Rejected(rej),
@@ -453,14 +454,17 @@ impl Daemon {
             if let Some(reason) = parse_failure {
                 return ProxyOutcome::ParseFailed { reason };
             }
-            let qname = pending.message().questions()[0].qname().clone();
+            let pending = self
+                .pending
+                .remove(&found_id)
+                .expect("the gated query is still pending");
+            let qname = pending.message().questions()[0].qname();
             let mut cached = 0;
             for (rtype, addrs, ttl) in to_cache {
-                if self.cache.insert(&qname, rtype, addrs, ttl, self.clock) {
+                if self.cache.insert(qname, rtype, addrs, ttl, self.clock) {
                     cached += 1;
                 }
             }
-            self.pending.remove(&found_id);
             return ProxyOutcome::Answered { cached };
         }
 

@@ -92,9 +92,32 @@ impl Harness {
         ]
     }
 
-    /// Forks (or reboots), re-issues the canonical query, and delivers
-    /// `input` as the upstream response under the sanitizer oracle.
+    /// Forks (or reboots), re-issues the canonical query, delivers
+    /// `input` as the upstream response under the sanitizer oracle, and
+    /// folds the run's coverage into `accum`.
     pub fn exec(&mut self, input: &[u8], accum: &mut CoverageAccum) -> ExecOutcome {
+        let (daemon, mut out) = self.run(input);
+        out.novel = daemon
+            .machine()
+            .coverage()
+            .is_some_and(|map| accum.note_new(map.bytes()));
+        out
+    }
+
+    /// Re-runs `input` and reports whether it crashes with `key` —
+    /// the minimization predicate. The run is [`exec`](Harness::exec)'s
+    /// without the novelty fold: coverage stays armed, so the machine
+    /// behaves identically, but nothing is accumulated, so minimization
+    /// cannot perturb corpus admission.
+    pub fn reproduces(&mut self, input: &[u8], key: &str) -> bool {
+        self.run(input).1.crash_key.as_deref() == Some(key)
+    }
+
+    /// One exec up to its classification: fork (or reboot), arm the
+    /// sanitizer and the edge map, re-issue the canonical query and
+    /// deliver `input`. Returns the daemon it ran on, for the coverage
+    /// fold, and an outcome with `novel` unset.
+    fn run(&mut self, input: &[u8]) -> (&Daemon, ExecOutcome) {
         let coverage = self.coverage;
         let boot_seed = self.boot_seed;
         let daemon = if self.reboot_per_exec {
@@ -111,10 +134,6 @@ impl Harness {
         // seed corpus stays valid across the whole campaign.
         let _query = daemon.resolve(&self.qname, RecordType::A);
         let outcome = daemon.deliver_response(input);
-        let novel = match daemon.machine().coverage() {
-            Some(map) => accum.note_new(map.bytes()),
-            None => false,
-        };
         let (tag, crash, fault): (&'static str, Option<String>, Option<String>) = match &outcome {
             ProxyOutcome::Rejected(_) => ("rejected", None, None),
             ProxyOutcome::ParseFailed { .. } => ("parse-failed", None, None),
@@ -142,22 +161,13 @@ impl Harness {
             // outcomes as benign rather than fabricating crash keys.
             _ => ("other", None, None),
         };
-        ExecOutcome {
+        let out = ExecOutcome {
             tag,
             crash_key: crash,
             fault,
-            novel,
-        }
-    }
-
-    /// Re-runs `input` and reports whether it crashes with `key` —
-    /// the minimization predicate. Coverage novelty is deliberately not
-    /// recorded (a throwaway accumulator), so minimization cannot
-    /// perturb corpus admission.
-    pub fn reproduces(&mut self, input: &[u8], key: &str) -> bool {
-        let mut scratch = CoverageAccum::new();
-        let out = self.exec(input, &mut scratch);
-        out.crash_key.as_deref() == Some(key)
+            novel: false,
+        };
+        (daemon, out)
     }
 
     /// The wire bytes of the canonical query a fresh fork issues.

@@ -50,13 +50,16 @@ where
     F: FnMut(&[u8]) -> Option<bool>,
 {
     let mut best = input.to_vec();
+    // One scratch buffer for every candidate: a reduction swaps it with
+    // `best`, so the loop allocates nothing after these two.
+    let mut candidate = Vec::with_capacity(best.len());
     let mut chunk = (best.len() / 2).max(1);
     while chunk >= 1 {
         let mut offset = 0usize;
         let mut reduced = false;
         while offset < best.len() && best.len() > 1 {
             let end = (offset + chunk).min(best.len());
-            let mut candidate = Vec::with_capacity(best.len());
+            candidate.clear();
             candidate.extend_from_slice(&best[..offset]);
             candidate.extend_from_slice(&best[end..]);
             if candidate.is_empty() {
@@ -65,7 +68,7 @@ where
             }
             match same_crash(&candidate) {
                 Some(true) => {
-                    best = candidate;
+                    std::mem::swap(&mut best, &mut candidate);
                     reduced = true;
                     // Re-test from the same offset against the shorter input.
                 }
@@ -125,6 +128,78 @@ mod tests {
         let input: Vec<u8> = (0..64u8).collect();
         let out = minimize(&input, |c| Some(c.contains(&0x2A)));
         assert_eq!(out, vec![0x2A]);
+    }
+
+    /// `minimize` as it was before the candidate buffer was reused: a
+    /// fresh `Vec` per candidate. The candidate sequence must not move.
+    fn minimize_fresh_buffers<F>(input: &[u8], mut same_crash: F) -> Vec<u8>
+    where
+        F: FnMut(&[u8]) -> Option<bool>,
+    {
+        let mut best = input.to_vec();
+        let mut chunk = (best.len() / 2).max(1);
+        while chunk >= 1 {
+            let mut offset = 0usize;
+            let mut reduced = false;
+            while offset < best.len() && best.len() > 1 {
+                let end = (offset + chunk).min(best.len());
+                let mut candidate = Vec::with_capacity(best.len());
+                candidate.extend_from_slice(&best[..offset]);
+                candidate.extend_from_slice(&best[end..]);
+                if candidate.is_empty() {
+                    offset = end;
+                    continue;
+                }
+                match same_crash(&candidate) {
+                    Some(true) => {
+                        best = candidate;
+                        reduced = true;
+                    }
+                    Some(false) => offset = end,
+                    None => return best,
+                }
+            }
+            if chunk == 1 && !reduced {
+                break;
+            }
+            chunk /= 2;
+        }
+        best
+    }
+
+    #[test]
+    fn reused_buffer_keeps_the_candidate_sequence() {
+        // Predicates of different shapes: a needle, a length floor, a
+        // byte-sum parity, and a budget that runs out mid-way.
+        type Pred = fn(&[u8], usize) -> Option<bool>;
+        type Minimizer = fn(&[u8], &mut dyn FnMut(&[u8]) -> Option<bool>) -> Vec<u8>;
+        let preds: [Pred; 4] = [
+            |c, _| Some(c.contains(&0x2A)),
+            |c, _| Some(c.len() >= 37),
+            |c, _| Some(c.iter().map(|&b| b as u32).sum::<u32>() % 3 == 0),
+            |c, n| (n < 40).then_some(c.len() > 5),
+        ];
+        let inputs: [Vec<u8>; 4] = [
+            (0..64u8).collect(),
+            (0..200u32).map(|i| (i * 7 % 251) as u8).collect(),
+            vec![0x2A; 3],
+            vec![9],
+        ];
+        for pred in preds {
+            for input in &inputs {
+                let record = |min: Minimizer| {
+                    let mut seen: Vec<Vec<u8>> = Vec::new();
+                    let out = min(input, &mut |c| {
+                        seen.push(c.to_vec());
+                        pred(c, seen.len() - 1)
+                    });
+                    (out, seen)
+                };
+                let got = record(|i, f| minimize(i, f));
+                let want = record(|i, f| minimize_fresh_buffers(i, f));
+                assert_eq!(got, want, "input {input:?}");
+            }
+        }
     }
 
     #[test]

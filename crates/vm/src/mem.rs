@@ -188,6 +188,39 @@ impl RedzoneHit {
     }
 }
 
+/// Splits the `len`-byte access at `addr` around the poisoned range
+/// `[zone_start, zone_end)` and calls `f(offset, len, poisoned)` for
+/// each non-empty segment in address order, stopping at the first
+/// error. A range that wraps 2^32 is handled as two non-wrapping
+/// pieces; within a piece the segments are the below-zone prefix, the
+/// poisoned middle and the above-zone suffix.
+fn for_each_segment(
+    addr: Addr,
+    len: usize,
+    (zone_start, zone_end): (u64, u64),
+    mut f: impl FnMut(usize, usize, bool) -> Result<(), Fault>,
+) -> Result<(), Fault> {
+    const SPACE: u64 = 1 << 32;
+    let mut off = 0usize;
+    while off < len {
+        let start = addr.wrapping_add(off as u32) as u64;
+        let end = (start + (len - off) as u64).min(SPACE);
+        let lo = zone_start.clamp(start, end);
+        let hi = zone_end.clamp(lo, end);
+        for (from, to, poisoned) in [(start, lo, false), (lo, hi, true), (hi, end, false)] {
+            if to > from {
+                f(
+                    off + (from - start) as usize,
+                    (to - from) as usize,
+                    poisoned,
+                )?;
+            }
+        }
+        off += (end - start) as usize;
+    }
+    Ok(())
+}
+
 /// The machine's memory: a set of disjoint regions with R/W/X checking.
 ///
 /// All accessors take the current program counter so that faults can
@@ -356,21 +389,35 @@ impl Memory {
     }
 
     /// Allocation-free bulk read: fills `buf` from `addr`, honouring
-    /// permissions and crossing region boundaries like
-    /// [`read_bytes`](Memory::read_bytes).
+    /// permissions and crossing region boundaries in region-sized
+    /// chunks, like [`read_bytes`](Memory::read_bytes).
+    ///
+    /// With a redzone armed the access is segmented around the zone
+    /// (see [`write_bytes`](Memory::write_bytes)): the poisoned middle
+    /// reads zeros and is recorded in O(1), the rest reads through.
     ///
     /// # Errors
     ///
     /// Returns a read fault at the first inaccessible byte.
     pub fn read_into(&self, addr: Addr, buf: &mut [u8], pc: Addr) -> Result<(), Fault> {
-        if self.redzone.is_some() {
-            // Byte-at-a-time so every poisoned byte is diverted and
-            // recorded individually, mirroring `write_bytes`.
-            for (i, slot) in buf.iter_mut().enumerate() {
-                *slot = self.read_u8(addr.wrapping_add(i as u32), pc)?;
+        let Some(zone) = self.redzone_bounds() else {
+            return self.read_unarmed(addr, buf, pc);
+        };
+        for_each_segment(addr, buf.len(), zone, |off, n, poisoned| {
+            let a = addr.wrapping_add(off as u32);
+            let part = &mut buf[off..off + n];
+            if poisoned {
+                part.fill(0);
+                self.redzone_record(a, n, pc, RedzoneAccess::Load);
+                Ok(())
+            } else {
+                self.read_unarmed(a, part, pc)
             }
-            return Ok(());
-        }
+        })
+    }
+
+    /// The chunked read path, ignoring any redzone.
+    fn read_unarmed(&self, addr: Addr, buf: &mut [u8], pc: Addr) -> Result<(), Fault> {
         let mut done = 0usize;
         while done < buf.len() {
             let a = addr.wrapping_add(done as u32);
@@ -482,20 +529,37 @@ impl Memory {
 
     /// Writes a byte slice (region-sized chunks, not byte-at-a-time).
     ///
+    /// With a redzone armed the access is split into a below-zone
+    /// prefix, the poisoned middle and an above-zone suffix, in that
+    /// order (a range wrapping 2^32 is first split at the wrap). Prefix
+    /// and suffix take the chunked path; the middle is diverted and
+    /// recorded in O(1), exactly as a byte-at-a-time loop over
+    /// [`write_u8`](Memory::write_u8) would record it.
+    ///
     /// # Errors
     ///
     /// Returns a write fault at the first inaccessible byte; bytes before
     /// it will already have been written (matching real partial stores).
     pub fn write_bytes(&mut self, addr: Addr, bytes: &[u8], pc: Addr) -> Result<(), Fault> {
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        if self.redzone.is_some() {
-            // Byte-at-a-time so the in-bounds prefix commits and every
-            // poisoned byte is recorded individually.
-            for (i, b) in bytes.iter().enumerate() {
-                self.write_u8(addr.wrapping_add(i as u32), *b, pc)?;
+        let Some(zone) = self.redzone_bounds() else {
+            return self.write_unarmed(addr, bytes, pc);
+        };
+        for_each_segment(addr, bytes.len(), zone, |off, n, poisoned| {
+            let a = addr.wrapping_add(off as u32);
+            if poisoned {
+                self.redzone_record(a, n, pc, RedzoneAccess::Store);
+                Ok(())
+            } else {
+                self.write_unarmed(a, &bytes[off..off + n], pc)
             }
+        })
+    }
+
+    /// The chunked write path, ignoring any redzone. The decode cache
+    /// is told about the whole range up front, so a faulting write may
+    /// invalidate pages past the fault (a superset, never fewer).
+    fn write_unarmed(&mut self, addr: Addr, bytes: &[u8], pc: Addr) -> Result<(), Fault> {
+        if bytes.is_empty() {
             return Ok(());
         }
         self.dcache.note_write_range(addr, bytes.len());
@@ -661,25 +725,43 @@ impl Memory {
     /// when the access must be diverted. `&self` because loads arrive
     /// through shared accessors — the recording fields are `Cell`s.
     fn redzone_absorbs(&self, addr: Addr, pc: Addr, access: RedzoneAccess) -> bool {
-        let Some(z) = self.redzone.as_deref() else {
-            return false;
-        };
-        if (addr as u64) < (z.zone_start as u64) || (addr as u64) >= z.zone_end {
-            return false;
+        match self.redzone_bounds() {
+            Some((start, end)) if (start..end).contains(&(addr as u64)) => {
+                self.redzone_record(addr, 1, pc, access);
+                true
+            }
+            _ => false,
         }
+    }
+
+    /// The armed zone as a half-open `u64` range, if any.
+    fn redzone_bounds(&self) -> Option<(u64, u64)> {
+        let z = self.redzone.as_deref()?;
+        Some((z.zone_start as u64, z.zone_end))
+    }
+
+    /// Records a diverted access to the `len` poisoned bytes at `addr`
+    /// (non-wrapping, `len > 0`): the same record `len` single-byte
+    /// accesses in address order would leave. The first poisoned
+    /// access ever sets `pc` and `access`; later ones only widen
+    /// `[first, last]`.
+    fn redzone_record(&self, addr: Addr, len: usize, pc: Addr, access: RedzoneAccess) {
+        let Some(z) = self.redzone.as_deref() else {
+            return;
+        };
+        let last = addr + (len as u32 - 1);
         match z.first.get() {
             None => {
                 z.first.set(Some(addr));
                 z.pc.set(pc);
-                z.last.set(addr);
+                z.last.set(last);
                 z.access.set(access);
             }
             Some(f) => {
                 z.first.set(Some(f.min(addr)));
-                z.last.set(z.last.get().max(addr));
+                z.last.set(z.last.get().max(last));
             }
         }
-        true
     }
 
     // ---- snapshot / restore (boot-once, fork-many) ----
@@ -742,8 +824,11 @@ impl Memory {
                 self.dcache.flush();
             }
             r.kind = rs.kind;
-            if let Some(bits) = r.dirty.take() {
-                for (word_idx, mut word) in bits.into_iter().enumerate() {
+            if let Some(bits) = &mut r.dirty {
+                // Each word is cleared as its pages are copied back, so
+                // tracking stays armed without a fresh bitmap per fork.
+                for (word_idx, slot) in bits.iter_mut().enumerate() {
+                    let mut word = std::mem::take(slot);
                     while word != 0 {
                         let page = word_idx * 64 + word.trailing_zeros() as usize;
                         word &= word - 1;
@@ -761,8 +846,8 @@ impl Memory {
                     r.data[off..off + src.len()].copy_from_slice(src);
                 }
                 self.dcache.flush();
+                r.arm_dirty();
             }
-            r.arm_dirty();
         }
         if resort {
             self.regions.sort_by_key(|r| r.base);
