@@ -1,39 +1,19 @@
 //! Control-flow-graph recovery over firmware images.
 //!
 //! Function boundaries come from the image's symbol table (the lab's
-//! stand-in for `.symtab`); instruction lifting uses the VM's own
-//! decoders through a per-address memo table — the same predecoding
-//! idea the interpreter's decode cache uses at run time, applied
-//! statically so no byte is decoded twice across passes.
+//! stand-in for `.symtab`); each instruction is decoded by the VM's own
+//! decoders and lifted to its effect form ([`cml_vm::lift`]) through a
+//! per-address memo table — the same predecoding idea the interpreter's
+//! decode cache uses at run time, applied statically so no byte is
+//! decoded twice. Leaders and terminators come from the lifted control
+//! transfers; the later passes read the lifted effects.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cml_image::{Addr, Arch, Image, SymbolKind};
-use cml_vm::{arm, riscv, x86};
+use cml_vm::lift::{Flow, Lifted};
 
 use crate::predecode::Predecoder;
-
-/// One lifted instruction from any of the three ISAs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Op {
-    /// An IA-32 instruction.
-    X86(x86::Insn),
-    /// An A32 instruction.
-    Arm(arm::Insn),
-    /// An RV32IC instruction (compressed forms pre-expanded).
-    Riscv(riscv::Insn),
-}
-
-/// A lifted instruction with its location.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiftedInsn {
-    /// Virtual address.
-    pub addr: Addr,
-    /// Encoded length in bytes.
-    pub len: u32,
-    /// The decoded operation.
-    pub op: Op,
-}
 
 /// How a basic block transfers control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +52,7 @@ pub struct BasicBlock {
     /// One past the last instruction byte.
     pub end: Addr,
     /// The block's instructions, in address order.
-    pub insns: Vec<LiftedInsn>,
+    pub insns: Vec<Lifted>,
     /// How the block exits.
     pub term: Terminator,
     /// Successor block starts *within the same function*.
@@ -98,6 +78,38 @@ impl Function {
     /// The block starting at `addr`, if any.
     pub fn block_at(&self, addr: Addr) -> Option<&BasicBlock> {
         self.blocks.iter().find(|b| b.start == addr)
+    }
+
+    /// Natural-loop approximation: each back edge `b -> h` (`h ≤
+    /// b.start`) bounds the address range `[h, b.end)`. Sufficient for
+    /// the reducible compiler-shaped loops these images contain.
+    pub fn loops(&self) -> Vec<(Addr, Addr)> {
+        self.blocks
+            .iter()
+            .flat_map(|b| {
+                b.succs
+                    .iter()
+                    .filter(move |&&s| s <= b.start)
+                    .map(move |&s| (s, b.end))
+            })
+            .collect()
+    }
+
+    /// Indices of the blocks inside the loop `[head, end)` whose
+    /// conditional branch can leave it.
+    pub fn loop_exits(&self, head: Addr, end: Addr) -> impl Iterator<Item = usize> + '_ {
+        let in_range = move |a: Addr| a >= head && a < end;
+        self.blocks
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, b)| match b.term {
+                Terminator::Branch { taken, fall }
+                    if in_range(b.start) && !(in_range(taken) && in_range(fall)) =>
+                {
+                    Some(i)
+                }
+                _ => None,
+            })
     }
 }
 
@@ -146,77 +158,6 @@ impl Cfg {
     /// The function named `name`, if recovered.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
-    }
-}
-
-/// Control-flow class of a single instruction.
-enum Flow {
-    Seq,
-    Jump(Addr),
-    Cond(Addr),
-    Call(Addr),
-    IndirectJump,
-    IndirectCall,
-    Return,
-    Halt,
-}
-
-fn flow_of(insn: &LiftedInsn) -> Flow {
-    let next = insn.addr.wrapping_add(insn.len);
-    match insn.op {
-        Op::X86(i) => match i {
-            x86::Insn::Ret | x86::Insn::RetImm16(_) => Flow::Return,
-            x86::Insn::JmpRel8(d) => Flow::Jump(next.wrapping_add(d as i32 as u32)),
-            x86::Insn::JmpRel32(d) => Flow::Jump(next.wrapping_add(d as u32)),
-            x86::Insn::Jz8(d) | x86::Insn::Jnz8(d) => {
-                Flow::Cond(next.wrapping_add(d as i32 as u32))
-            }
-            x86::Insn::Jz32(d) | x86::Insn::Jnz32(d) => Flow::Cond(next.wrapping_add(d as u32)),
-            x86::Insn::CallRel32(d) => Flow::Call(next.wrapping_add(d as u32)),
-            x86::Insn::CallRm(_) => Flow::IndirectCall,
-            x86::Insn::JmpRm(_) => Flow::IndirectJump,
-            x86::Insn::Hlt => Flow::Halt,
-            _ => Flow::Seq,
-        },
-        Op::Arm(i) => match i {
-            // Branch offsets are relative to pc + 8 (A32 pipeline).
-            arm::Insn::B { offset } => {
-                Flow::Jump(insn.addr.wrapping_add(8).wrapping_add(offset as u32))
-            }
-            arm::Insn::BEq { offset } | arm::Insn::BNe { offset } => {
-                Flow::Cond(insn.addr.wrapping_add(8).wrapping_add(offset as u32))
-            }
-            arm::Insn::Bl { offset } => {
-                Flow::Call(insn.addr.wrapping_add(8).wrapping_add(offset as u32))
-            }
-            arm::Insn::Bx { rm } => {
-                if rm == 14 {
-                    Flow::Return
-                } else {
-                    Flow::IndirectJump
-                }
-            }
-            arm::Insn::Blx { .. } => Flow::IndirectCall,
-            arm::Insn::Pop { list } if list & (1 << 15) != 0 => Flow::Return,
-            _ => Flow::Seq,
-        },
-        Op::Riscv(i) => match i {
-            // Branch/jump offsets are relative to the instruction itself.
-            riscv::Insn::Jalr {
-                rd: 0,
-                rs1: 1,
-                offset: 0,
-            } => Flow::Return,
-            riscv::Insn::Jal { rd: 0, offset } => Flow::Jump(insn.addr.wrapping_add(offset as u32)),
-            riscv::Insn::Jal { offset, .. } => Flow::Call(insn.addr.wrapping_add(offset as u32)),
-            riscv::Insn::Jalr { rd: 0, .. } => Flow::IndirectJump,
-            riscv::Insn::Jalr { .. } => Flow::IndirectCall,
-            riscv::Insn::Beq { offset, .. } | riscv::Insn::Bne { offset, .. } => {
-                Flow::Cond(insn.addr.wrapping_add(offset as u32))
-            }
-            riscv::Insn::Ebreak => Flow::Halt,
-            _ => Flow::Seq,
-        },
     }
 }
 
@@ -292,14 +233,14 @@ fn lift_function(name: &str, entry: Addr, size: u32, pred: &mut Predecoder<'_>) 
     let in_span = |a: Addr| a >= entry && a < end;
 
     // Pass 1: linear decode of the whole span.
-    let mut insns: Vec<LiftedInsn> = Vec::new();
+    let mut insns: Vec<Lifted> = Vec::new();
     let mut truncated = false;
     let mut addr = entry;
     while addr < end {
         match pred.decode_at(addr) {
-            Some((op, len)) => {
-                insns.push(LiftedInsn { addr, len, op });
-                addr = addr.wrapping_add(len);
+            Some(insn) => {
+                insns.push(insn);
+                addr = addr.wrapping_add(insn.len);
             }
             None => {
                 truncated = true;
@@ -314,37 +255,15 @@ fn lift_function(name: &str, entry: Addr, size: u32, pred: &mut Predecoder<'_>) 
     leaders.insert(entry);
     for insn in &insns {
         let next = insn.addr.wrapping_add(insn.len);
-        match flow_of(insn) {
-            Flow::Jump(t) => {
-                if in_span(t) {
-                    leaders.insert(t);
-                }
-                if in_span(next) {
-                    leaders.insert(next);
-                }
+        if let Flow::Jump(t) | Flow::Cond(t) = insn.flow {
+            if in_span(t) {
+                leaders.insert(t);
             }
-            Flow::Cond(t) => {
-                if in_span(t) {
-                    leaders.insert(t);
-                }
-                if in_span(next) {
-                    leaders.insert(next);
-                }
-            }
-            Flow::Call(_) | Flow::IndirectCall => {
-                // Calls return; the next instruction continues the block
-                // only conceptually — treat it as a leader so the call
-                // terminates its block (call edges live on terminators).
-                if in_span(next) {
-                    leaders.insert(next);
-                }
-            }
-            Flow::Return | Flow::IndirectJump | Flow::Halt => {
-                if in_span(next) {
-                    leaders.insert(next);
-                }
-            }
-            Flow::Seq => {}
+        }
+        // Every transfer ends its block; calls too, so call edges live
+        // on terminators.
+        if insn.flow != Flow::Seq && in_span(next) {
+            leaders.insert(next);
         }
     }
 
@@ -353,7 +272,7 @@ fn lift_function(name: &str, entry: Addr, size: u32, pred: &mut Predecoder<'_>) 
     let mut blocks: Vec<BasicBlock> = Vec::new();
     for (bi, &start) in starts.iter().enumerate() {
         let stop = starts.get(bi + 1).copied().unwrap_or(end);
-        let body: Vec<LiftedInsn> = insns
+        let body: Vec<Lifted> = insns
             .iter()
             .filter(|i| i.addr >= start && i.addr < stop)
             .copied()
@@ -362,7 +281,7 @@ fn lift_function(name: &str, entry: Addr, size: u32, pred: &mut Predecoder<'_>) 
             continue;
         };
         let block_end = last.addr.wrapping_add(last.len);
-        let term = match flow_of(&last) {
+        let term = match last.flow {
             Flow::Return => Terminator::Return,
             Flow::Jump(t) => Terminator::Jump(t),
             Flow::Cond(t) => Terminator::Branch {

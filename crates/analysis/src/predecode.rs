@@ -1,25 +1,20 @@
 //! Shared per-address predecode memo — the static twin of the VM's
 //! predecoded instruction cache.
 //!
-//! CFG recovery, the taint pass and the value-set analysis all lift the
-//! same text bytes; routing every decode through one memo table means
-//! an address is decoded exactly once no matter how many passes (or
-//! repeated analyses of the same image) consume it. Before this module
-//! existed each pass carried its own copy of the memo; now they share
-//! this one.
+//! CFG recovery decodes and lifts each text address through this memo
+//! ([`cml_vm::lift::lift`]), so an address is decoded and lifted once;
+//! the taint pass, the value-set analysis and frame recovery then read
+//! the lifted effects off the recovered blocks.
 
 use std::collections::HashMap;
 
-use cml_image::{Addr, Arch, Image};
-use cml_vm::{arm, riscv, x86};
-
-use crate::cfg::Op;
+use cml_image::{Addr, Image};
+use cml_vm::lift::{lift, Lifted};
 
 /// Per-address decode memo over one image.
 pub struct Predecoder<'a> {
     image: &'a Image,
-    arch: Arch,
-    memo: HashMap<Addr, Option<(Op, u32)>>,
+    memo: HashMap<Addr, Option<Lifted>>,
     hits: u64,
     misses: u64,
 }
@@ -29,16 +24,15 @@ impl<'a> Predecoder<'a> {
     pub fn new(image: &'a Image) -> Self {
         Predecoder {
             image,
-            arch: image.arch(),
             memo: HashMap::new(),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Decodes the instruction at `addr`, bounded by its section.
-    /// Returns `None` for unmapped or undecodable bytes.
-    pub fn decode_at(&mut self, addr: Addr) -> Option<(Op, u32)> {
+    /// Decodes and lifts the instruction at `addr`, bounded by its
+    /// section. Returns `None` for unmapped or undecodable bytes.
+    pub fn decode_at(&mut self, addr: Addr) -> Option<Lifted> {
         if let Some(cached) = self.memo.get(&addr) {
             self.hits += 1;
             return *cached;
@@ -59,21 +53,10 @@ impl<'a> Predecoder<'a> {
         self.misses
     }
 
-    fn decode_uncached(&self, addr: Addr) -> Option<(Op, u32)> {
+    fn decode_uncached(&self, addr: Addr) -> Option<Lifted> {
         let section = self.image.section_containing(addr)?;
         let off = (addr - section.base()) as usize;
-        let bytes = section.bytes().get(off..)?;
-        match self.arch {
-            Arch::X86 => x86::decode(bytes)
-                .ok()
-                .map(|(i, len)| (Op::X86(i), len as u32)),
-            Arch::Armv7 => arm::decode(bytes)
-                .ok()
-                .map(|(i, len)| (Op::Arm(i), len as u32)),
-            Arch::Riscv => riscv::decode(bytes)
-                .ok()
-                .map(|(i, len)| (Op::Riscv(i), len as u32)),
-        }
+        lift(self.image.arch(), section.bytes().get(off..)?, addr)
     }
 }
 
@@ -81,6 +64,7 @@ impl<'a> Predecoder<'a> {
 mod tests {
     use super::*;
     use cml_firmware::build_image_for;
+    use cml_image::Arch;
 
     #[test]
     fn second_decode_of_an_address_hits_the_memo() {

@@ -32,10 +32,11 @@
 use std::collections::{BTreeSet, HashMap};
 
 use cml_image::{Addr, Arch};
-use cml_vm::{arm, riscv, x86, X86Reg};
+use cml_vm::lift::{abi, Abi, ArgLoc, Effect, Lifted, Mem, Operand, Pushed, Src};
 
 use crate::callgraph::Summaries;
-use crate::cfg::{BasicBlock, Cfg, Function, Op, Terminator};
+use crate::cfg::{Cfg, Function, Terminator};
+use crate::dataflow::{solve, write, Lattice, Solution};
 
 /// Abstract value tracked per register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +85,8 @@ impl Abs {
 /// Per-program-point abstract state: 32 register slots (x86 uses the
 /// low 8, ARM the low 16), the class pair of the last flag-setting
 /// comparison (on RISC-V, of the last conditional branch — there is no
-/// separate compare), and the class of the most recent push (the
-/// outgoing x86 call argument).
+/// separate compare), and the class of the word at the top of the
+/// stack (the outgoing argument of a stack-passing call).
 #[derive(Debug, Clone, PartialEq)]
 struct State {
     regs: [Abs; 32],
@@ -93,58 +94,20 @@ struct State {
     last_push: Abs,
 }
 
-impl State {
-    fn entry(arch: Arch, is_source: bool) -> State {
-        let mut regs = [Abs::Top; 32];
-        match arch {
-            Arch::X86 => {
-                regs[X86Reg::Esp.bits() as usize] = Abs::StackPtr;
-            }
-            Arch::Armv7 => {
-                regs[13] = Abs::StackPtr;
-                if is_source {
-                    regs[0] = Abs::ArgPtr;
-                }
-            }
-            Arch::Riscv => {
-                regs[0] = Abs::Const(0); // x0 is hardwired
-                regs[2] = Abs::StackPtr;
-                if is_source {
-                    regs[10] = Abs::ArgPtr; // a0
-                }
-            }
+impl Lattice for State {
+    /// Joins `other` in; the lattice has finite height, so widening is
+    /// a plain join.
+    fn join_with(&mut self, other: &State, _widen: bool) -> bool {
+        let before = self.clone();
+        for (r, o) in self.regs.iter_mut().zip(other.regs) {
+            *r = r.join(o);
         }
-        State {
-            regs,
-            flags: (Abs::Top, Abs::Top),
-            last_push: Abs::Top,
-        }
-    }
-
-    /// Joins `other` in; returns whether anything widened.
-    fn join_with(&mut self, other: &State) -> bool {
-        let mut changed = false;
-        for i in 0..32 {
-            let j = self.regs[i].join(other.regs[i]);
-            if j != self.regs[i] {
-                self.regs[i] = j;
-                changed = true;
-            }
-        }
-        let f = (
+        self.flags = (
             self.flags.0.join(other.flags.0),
             self.flags.1.join(other.flags.1),
         );
-        if f != self.flags {
-            self.flags = f;
-            changed = true;
-        }
-        let p = self.last_push.join(other.last_push);
-        if p != self.last_push {
-            self.last_push = p;
-            changed = true;
-        }
-        changed
+        self.last_push = self.last_push.join(other.last_push);
+        *self != before
     }
 }
 
@@ -218,8 +181,17 @@ pub fn taint_pass_with(
     config: &TaintConfig,
     summaries: &Summaries,
 ) -> Vec<TaintFinding> {
+    findings(cfg, config, summaries, &effective_sources(cfg, config))
+}
+
+/// [`taint_pass_with`] with the effective source set precomputed too.
+pub(crate) fn findings(
+    cfg: &Cfg,
+    config: &TaintConfig,
+    summaries: &Summaries,
+    sources: &BTreeSet<String>,
+) -> Vec<TaintFinding> {
     let ret_consts = ret_const_sites(cfg, summaries);
-    let sources = effective_sources(cfg, config);
     let mut findings = Vec::new();
     for f in &cfg.functions {
         let is_source = sources.contains(&f.name);
@@ -244,8 +216,10 @@ pub fn effective_sources(cfg: &Cfg, config: &TaintConfig) -> BTreeSet<String> {
             if !sources.contains(&f.name) {
                 continue;
             }
-            let collected = collect_function(cfg.arch, f, true, &no_consts);
-            for (site, class) in &collected.call_args {
+            let Some(fx) = analyze_fn(cfg.arch, f, true, &no_consts) else {
+                continue;
+            };
+            for (site, class) in &fx.facts.call_args {
                 if !class.is_tainted() {
                     continue;
                 }
@@ -278,23 +252,19 @@ pub(crate) struct FnProfile {
 
 pub(crate) fn function_profile(arch: Arch, f: &Function) -> FnProfile {
     let no_consts = HashMap::new();
-    let Some(fx) = fixpoint(arch, f, true, &no_consts) else {
+    let Some(fx) = analyze_fn(arch, f, true, &no_consts) else {
         return FnProfile::default();
     };
     // Return-constant detection: every Return block must leave the
     // return register holding the same constant.
-    let ret_reg = match arch {
-        Arch::X86 => X86Reg::Eax.bits() as usize,
-        Arch::Armv7 => 0,
-        Arch::Riscv => 10, // a0
-    };
+    let ret_reg = abi(arch).ret as usize;
     let mut returns_const = None;
     let mut consistent = true;
     for (i, b) in f.blocks.iter().enumerate() {
         if b.term != Terminator::Return {
             continue;
         }
-        match fx.exit_states[i].as_ref().map(|s| s.regs[ret_reg]) {
+        match fx.exits[i].as_ref().map(|s| s.regs[ret_reg]) {
             Some(Abs::Const(v)) => match returns_const {
                 None => returns_const = Some(v),
                 Some(prev) if prev == v => {}
@@ -303,7 +273,7 @@ pub(crate) fn function_profile(arch: Arch, f: &Function) -> FnProfile {
             _ => consistent = false,
         }
     }
-    let writes_mem = fx.collected.writes_mem;
+    let writes_mem = fx.facts.writes_mem;
     FnProfile {
         writes_mem,
         unbounded_copy: !unbounded_stores(f, fx).is_empty(),
@@ -324,126 +294,47 @@ fn ret_const_sites(cfg: &Cfg, summaries: &Summaries) -> HashMap<Addr, u32> {
         .collect()
 }
 
-/// The fixpoint result of one function analysis.
-struct Fixpoint {
-    /// Post-state of every block (indexed like `f.blocks`).
-    exit_states: Vec<Option<State>>,
-    /// Facts collected on the final pass.
-    collected: Collected,
-}
-
-fn fixpoint(
+/// One function's taint fixpoint.
+fn analyze_fn(
     arch: Arch,
     f: &Function,
     is_source: bool,
     ret_consts: &HashMap<Addr, u32>,
-) -> Option<Fixpoint> {
-    if f.blocks.is_empty() {
-        return None;
-    }
-    let idx: HashMap<Addr, usize> = f
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.start, i))
-        .collect();
-    let n = f.blocks.len();
-
-    // Fixed point over block input states.
-    let mut inputs: Vec<Option<State>> = vec![None; n];
-    inputs[0] = Some(State::entry(arch, is_source));
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            let Some(mut st) = inputs[i].clone() else {
-                continue;
-            };
-            walk_block(&mut st, &f.blocks[i], is_source, ret_consts, None);
-            for succ in &f.blocks[i].succs {
-                let Some(&j) = idx.get(succ) else { continue };
-                match &mut inputs[j] {
-                    slot @ None => {
-                        *slot = Some(st.clone());
-                        changed = true;
-                    }
-                    Some(existing) => changed |= existing.join_with(&st),
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Final pass: collect stores / call args and per-block exit states.
-    let mut collected = Collected::default();
-    let mut exit_states: Vec<Option<State>> = vec![None; n];
-    for i in 0..n {
-        let Some(mut st) = inputs[i].clone() else {
-            continue;
-        };
-        walk_block(
-            &mut st,
-            &f.blocks[i],
-            is_source,
-            ret_consts,
-            Some(&mut collected),
-        );
-        exit_states[i] = Some(st);
-    }
-    Some(Fixpoint {
-        exit_states,
-        collected,
+) -> Option<Solution<State, Collected>> {
+    let taint = Taint {
+        abi: abi(arch),
+        is_source,
+        ret_consts,
+    };
+    solve(f, taint.entry(), |st, insn, facts| {
+        taint.step(st, insn, facts)
     })
-}
-
-fn collect_function(
-    arch: Arch,
-    f: &Function,
-    is_source: bool,
-    ret_consts: &HashMap<Addr, u32>,
-) -> Collected {
-    fixpoint(arch, f, is_source, ret_consts)
-        .map(|fx| fx.collected)
-        .unwrap_or_default()
 }
 
 /// Tainted stores sitting in loops with no untainted bounding exit:
 /// `(store addr, loop head)` pairs, one per loop.
-fn unbounded_stores(f: &Function, fx: Fixpoint) -> Vec<(Addr, Addr)> {
-    // Natural-loop approximation: a back edge `b -> h` (h ≤ b.start)
-    // bounds the address range [h, b.end). Sufficient for the reducible
-    // compiler-shaped loops these images contain.
-    let loops: Vec<(Addr, Addr)> = f
-        .blocks
-        .iter()
-        .flat_map(|b| {
-            b.succs
-                .iter()
-                .filter(move |&&s| s <= b.start)
-                .map(move |&s| (s, b.end))
+fn unbounded_stores(f: &Function, fx: Solution<State, Collected>) -> Vec<(Addr, Addr)> {
+    let loops = f.loops();
+    // Whether any conditional exit of the loop compares an untainted
+    // value against a constant — the signature of a capacity check.
+    let bounded = |head: Addr, end: Addr| {
+        f.loop_exits(head, end).any(|i| {
+            fx.exits[i].as_ref().is_some_and(|s| {
+                let (l, r) = s.flags;
+                !l.is_tainted() && !r.is_tainted() && (l.is_const() || r.is_const())
+            })
         })
-        .collect();
-    let exit_flags: Vec<Option<(Abs, Abs)>> = fx
-        .exit_states
-        .iter()
-        .map(|s| s.as_ref().map(|s| s.flags))
-        .collect();
+    };
 
     let mut out = Vec::new();
     let mut seen: BTreeSet<(Addr, Addr)> = BTreeSet::new();
-    for store in fx
-        .collected
-        .stores
-        .iter()
-        .filter(|s| s.value == Abs::Tainted)
-    {
+    for store in fx.facts.stores.iter().filter(|s| s.value == Abs::Tainted) {
         for &(head, end) in &loops {
             let in_loop = store.addr >= head && store.addr < end;
             if !in_loop || !seen.insert((head, store.addr)) {
                 continue;
             }
-            if loop_has_bounding_exit(f, &exit_flags, head, end) {
+            if bounded(head, end) {
                 continue;
             }
             out.push((store.addr, head));
@@ -462,7 +353,7 @@ fn findings_in(
     config: &TaintConfig,
     ret_consts: &HashMap<Addr, u32>,
 ) -> Vec<TaintFinding> {
-    let Some(fx) = fixpoint(arch, f, is_source, ret_consts) else {
+    let Some(fx) = analyze_fn(arch, f, is_source, ret_consts) else {
         return Vec::new();
     };
     let capacity = config
@@ -487,295 +378,123 @@ fn findings_in(
         .collect()
 }
 
-/// Whether any conditional exit of the loop `[head, end)` compares an
-/// untainted value against a constant — the signature of a capacity
-/// check.
-fn loop_has_bounding_exit(
-    f: &Function,
-    exit_flags: &[Option<(Abs, Abs)>],
-    head: Addr,
-    end: Addr,
-) -> bool {
-    let in_range = |a: Addr| a >= head && a < end;
-    f.blocks.iter().enumerate().any(|(i, b)| {
-        if !in_range(b.start) {
-            return false;
-        }
-        let Terminator::Branch { taken, fall } = b.term else {
-            return false;
-        };
-        if in_range(taken) && in_range(fall) {
-            return false; // not an exit
-        }
-        let Some((l, r)) = exit_flags[i] else {
-            return false;
-        };
-        !l.is_tainted() && !r.is_tainted() && (l.is_const() || r.is_const())
-    })
+/// The taint transfer function over one function's lifted effects.
+struct Taint<'a> {
+    abi: &'static Abi,
+    /// Whether the function's argument is the tainted packet pointer.
+    is_source: bool,
+    /// Call sites whose callee is summarized as returning a constant.
+    ret_consts: &'a HashMap<Addr, u32>,
 }
 
-fn walk_block(
-    st: &mut State,
-    b: &BasicBlock,
-    is_source: bool,
-    ret_consts: &HashMap<Addr, u32>,
-    mut collect: Option<&mut Collected>,
-) {
-    for insn in &b.insns {
-        match insn.op {
-            Op::X86(i) => step_x86(
-                st,
-                &i,
-                is_source,
-                insn.addr,
-                ret_consts,
-                collect.as_deref_mut(),
-            ),
-            Op::Arm(i) => step_arm(st, &i, insn.addr, ret_consts, collect.as_deref_mut()),
-            Op::Riscv(i) => step_riscv(st, &i, insn.addr, ret_consts, collect.as_deref_mut()),
+impl Taint<'_> {
+    fn entry(&self) -> State {
+        let mut regs = [Abs::Top; 32];
+        regs[self.abi.sp as usize] = Abs::StackPtr;
+        if let Some(zero) = self.abi.zero {
+            regs[zero as usize] = Abs::Const(0);
+        }
+        if let (true, ArgLoc::Reg(arg)) = (self.is_source, self.abi.arg) {
+            regs[arg as usize] = Abs::ArgPtr;
+        }
+        State {
+            regs,
+            flags: (Abs::Top, Abs::Top),
+            last_push: Abs::Top,
         }
     }
-}
 
-fn step_x86(
-    st: &mut State,
-    i: &x86::Insn,
-    is_source: bool,
-    addr: Addr,
-    ret_consts: &HashMap<Addr, u32>,
-    collect: Option<&mut Collected>,
-) {
-    use x86::Insn as I;
-    use x86::Operand as O;
-    let r = |reg: X86Reg| reg.bits() as usize;
-    match *i {
-        I::MovRImm(d, v) => st.regs[r(d)] = Abs::Const(v),
-        I::MovR8Imm(d, _) => st.regs[r(d)] = Abs::Top,
-        I::MovRmR { dst, src } => match dst {
-            O::Reg(d) => st.regs[r(d)] = st.regs[r(src)],
-            O::Mem { base: Some(b), .. } => {
-                if let Some(out) = collect {
+    fn step(&self, st: &mut State, insn: &Lifted, collect: Option<&mut Collected>) {
+        let Some(effect) = insn.effect else { return };
+        let abi = self.abi;
+        let set = |st: &mut State, dst: u8, v: Abs| write(abi, &mut st.regs, dst, v);
+        let reg = |st: &State, r: u8| st.regs[r as usize];
+        match effect {
+            Effect::Set { dst, src } => {
+                let v = match src {
+                    Src::Const(v) => Abs::Const(v as u32),
+                    Src::Imm(v) => Abs::Const(v),
+                    Src::Reg(r) => reg(st, r),
+                    Src::RegPlus(r, _) | Src::Addr(r, _) => reg(st, r).after_arith(),
+                    Src::Sum(a, b) => reg(st, a).join(reg(st, b)).after_arith(),
+                    Src::PcRel(_) | Src::Unknown | Src::Bits(_) => Abs::Top,
+                };
+                set(st, dst, v);
+            }
+            Effect::Load { dst, mem } => {
+                let v = self.load(st, mem);
+                set(st, dst, v);
+            }
+            Effect::Store { src, mem } | Effect::Spill { src, mem } => {
+                if let (Some(out), Some(base)) = (collect, mem.base) {
                     out.writes_mem = true;
-                    if st.regs[r(b)] == Abs::StackPtr {
+                    if reg(st, base) == Abs::StackPtr {
                         out.stores.push(StackStore {
-                            addr,
-                            value: st.regs[r(src)],
+                            addr: insn.addr,
+                            value: reg(st, src),
                         });
                     }
                 }
             }
-            O::Mem { base: None, .. } => {}
-        },
-        I::MovRRm { dst, src } | I::Movzx8 { dst, src } => {
-            st.regs[r(dst)] = load_class(st, src, is_source, &r);
-        }
-        I::Lea { dst, src } => {
-            st.regs[r(dst)] = match src {
-                O::Mem { base: Some(b), .. } => st.regs[r(b)].after_arith(),
-                _ => Abs::Top,
-            };
-        }
-        I::XorRmR {
-            dst: O::Reg(d),
-            src,
-        } if d == src => st.regs[r(d)] = Abs::Const(0),
-        I::XorRmR { dst: O::Reg(d), .. }
-        | I::AndRmR { dst: O::Reg(d), .. }
-        | I::OrRmR { dst: O::Reg(d), .. } => st.regs[r(d)] = Abs::Top,
-        I::AddRmImm8 { dst: O::Reg(d), .. }
-        | I::SubRmImm8 { dst: O::Reg(d), .. }
-        | I::AddRmImm32 { dst: O::Reg(d), .. }
-        | I::SubRmImm32 { dst: O::Reg(d), .. } => {
-            st.regs[r(d)] = st.regs[r(d)].after_arith();
-        }
-        I::IncR(d) | I::DecR(d) => st.regs[r(d)] = st.regs[r(d)].after_arith(),
-        I::ShlRImm8 { reg, .. } | I::ShrRImm8 { reg, .. } => st.regs[r(reg)] = Abs::Top,
-        I::PushR(s) => st.last_push = st.regs[r(s)],
-        I::PushImm(v) => st.last_push = Abs::Const(v),
-        I::PopR(d) => st.regs[r(d)] = Abs::Top,
-        I::XchgEaxR(d) => {
-            let eax = r(X86Reg::Eax);
-            st.regs.swap(eax, r(d));
-        }
-        I::TestRmR { dst, src } | I::CmpRmR { dst, src } => {
-            st.flags = (load_class(st, dst, is_source, &r), st.regs[r(src)]);
-        }
-        I::CmpRmImm8 { dst, imm } => {
-            st.flags = (
-                load_class(st, dst, is_source, &r),
-                Abs::Const(imm as i32 as u32),
-            );
-        }
-        I::CmpRmImm32 { dst, imm } => {
-            st.flags = (load_class(st, dst, is_source, &r), Abs::Const(imm));
-        }
-        I::CallRel32(_) | I::CallRm(_) => {
-            if let Some(out) = collect {
-                out.call_args.push((addr, st.last_push));
+            Effect::Compare(l, r) => st.flags = (self.operand(st, l), self.operand(st, r)),
+            Effect::SpAdjust(_) => {
+                let v = reg(st, abi.sp).after_arith();
+                set(st, abi.sp, v);
             }
-            // Caller-saved registers are clobbered by the callee; a
-            // summarized constant return re-seeds eax.
-            for reg in [X86Reg::Eax, X86Reg::Ecx, X86Reg::Edx] {
-                st.regs[r(reg)] = Abs::Top;
+            Effect::Push(Pushed::Regs(list)) => {
+                st.last_push = st.regs[list.trailing_zeros() as usize];
             }
-            if let Some(&v) = ret_consts.get(&addr) {
-                st.regs[r(X86Reg::Eax)] = Abs::Const(v);
+            Effect::Push(Pushed::Imm(v)) => st.last_push = Abs::Const(v),
+            Effect::Pop { regs, .. } => {
+                for r in (0..16).filter(|r| regs & (1 << r) != 0) {
+                    set(st, r, Abs::Top);
+                }
+            }
+            Effect::Swap(a, b) => st.regs.swap(a as usize, b as usize),
+            // Taint follows no frame pointer across `leave`.
+            Effect::Leave => {}
+            Effect::Call => {
+                if let Some(out) = collect {
+                    let arg = match abi.arg {
+                        ArgLoc::Stack(_) => st.last_push,
+                        ArgLoc::Reg(r) => reg(st, r),
+                    };
+                    out.call_args.push((insn.addr, arg));
+                }
+                // Caller-saved registers are clobbered by the callee; a
+                // summarized constant return re-seeds the return register.
+                for &r in abi.caller_saved {
+                    st.regs[r as usize] = Abs::Top;
+                }
+                if let Some(&v) = self.ret_consts.get(&insn.addr) {
+                    st.regs[abi.ret as usize] = Abs::Const(v);
+                }
             }
         }
-        _ => {}
     }
-}
 
-/// The abstract value read through an operand: argument slots of a
-/// source function yield [`Abs::ArgPtr`] (the DNS response pointer);
-/// dereferencing a tainted pointer yields tainted data.
-fn load_class(
-    st: &State,
-    operand: x86::Operand,
-    is_source: bool,
-    r: &impl Fn(X86Reg) -> usize,
-) -> Abs {
-    match operand {
-        x86::Operand::Reg(s) => st.regs[r(s)],
-        x86::Operand::Mem {
-            base: Some(b),
-            disp,
-        } => match st.regs[r(b)] {
-            Abs::StackPtr if is_source && disp >= 8 => Abs::ArgPtr,
+    /// The abstract value read through `mem`: a stack-passed argument
+    /// slot of a source function yields [`Abs::ArgPtr`] (the DNS
+    /// response pointer); dereferencing a tainted pointer yields
+    /// tainted data.
+    fn load(&self, st: &State, mem: Mem) -> Abs {
+        let Some(base) = mem.base else {
+            return Abs::Top;
+        };
+        let arg_slot = matches!(self.abi.arg, ArgLoc::Stack(min) if mem.disp >= min);
+        match st.regs[base as usize] {
+            Abs::StackPtr if self.is_source && arg_slot => Abs::ArgPtr,
             Abs::ArgPtr | Abs::Tainted => Abs::Tainted,
             _ => Abs::Top,
-        },
-        x86::Operand::Mem { base: None, .. } => Abs::Top,
+        }
     }
-}
 
-fn step_arm(
-    st: &mut State,
-    i: &arm::Insn,
-    addr: Addr,
-    ret_consts: &HashMap<Addr, u32>,
-    collect: Option<&mut Collected>,
-) {
-    use arm::Insn as I;
-    match *i {
-        I::MovImm { rd, imm } => st.regs[rd as usize] = Abs::Const(imm),
-        I::MvnImm { rd, .. } => st.regs[rd as usize] = Abs::Top,
-        I::MovReg { rd, rm } => st.regs[rd as usize] = st.regs[rm as usize],
-        I::AddImm { rd, rn, .. } | I::SubImm { rd, rn, .. } => {
-            st.regs[rd as usize] = st.regs[rn as usize].after_arith();
+    fn operand(&self, st: &State, op: Operand) -> Abs {
+        match op {
+            Operand::Reg(r) => st.regs[r as usize],
+            Operand::Const(v) => Abs::Const(v as u32),
+            Operand::Mem(mem) => self.load(st, mem),
         }
-        I::OrrImm { rd, .. } | I::AndImm { rd, .. } | I::EorImm { rd, .. } => {
-            st.regs[rd as usize] = Abs::Top;
-        }
-        I::LslImm { rd, .. } => st.regs[rd as usize] = Abs::Top,
-        I::CmpImm { rn, imm } => st.flags = (st.regs[rn as usize], Abs::Const(imm)),
-        I::Ldr { rd, rn, .. } | I::Ldrb { rd, rn, .. } => {
-            st.regs[rd as usize] = match st.regs[rn as usize] {
-                Abs::ArgPtr | Abs::Tainted => Abs::Tainted,
-                _ => Abs::Top,
-            };
-        }
-        I::Str { rd, rn, .. } | I::Strb { rd, rn, .. } => {
-            if let Some(out) = collect {
-                out.writes_mem = true;
-                if st.regs[rn as usize] == Abs::StackPtr {
-                    out.stores.push(StackStore {
-                        addr,
-                        value: st.regs[rd as usize],
-                    });
-                }
-            }
-        }
-        I::Pop { list } => {
-            for reg in arm::reg_list(list) {
-                if reg != 15 && reg != 13 {
-                    st.regs[reg as usize] = Abs::Top;
-                }
-            }
-        }
-        I::Bl { .. } | I::Blx { .. } => {
-            if let Some(out) = collect {
-                out.call_args.push((addr, st.regs[0]));
-            }
-            // AAPCS caller-saved registers; a summarized constant
-            // return re-seeds r0.
-            for reg in 0..4 {
-                st.regs[reg] = Abs::Top;
-            }
-            if let Some(&v) = ret_consts.get(&addr) {
-                st.regs[0] = Abs::Const(v);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn step_riscv(
-    st: &mut State,
-    i: &riscv::Insn,
-    addr: Addr,
-    ret_consts: &HashMap<Addr, u32>,
-    collect: Option<&mut Collected>,
-) {
-    use riscv::Insn as I;
-    // x0 is hardwired to zero: writes to it are discarded.
-    match *i {
-        I::Lui { rd, imm } if rd != 0 => st.regs[rd as usize] = Abs::Const(imm),
-        I::Auipc { rd, .. } if rd != 0 => st.regs[rd as usize] = Abs::Top,
-        I::Addi { rd, rs1: 0, imm } if rd != 0 => {
-            st.regs[rd as usize] = Abs::Const(imm as u32);
-        }
-        I::Addi { rd, rs1, .. } if rd != 0 => {
-            st.regs[rd as usize] = st.regs[rs1 as usize].after_arith();
-        }
-        I::Andi { rd, .. } | I::Ori { rd, .. } | I::Xori { rd, .. } if rd != 0 => {
-            st.regs[rd as usize] = Abs::Top;
-        }
-        I::Slli { rd, .. } | I::Srli { rd, .. } if rd != 0 => st.regs[rd as usize] = Abs::Top,
-        I::Add { rd, rs1, rs2 } | I::Sub { rd, rs1, rs2 } if rd != 0 => {
-            st.regs[rd as usize] = st.regs[rs1 as usize]
-                .join(st.regs[rs2 as usize])
-                .after_arith();
-        }
-        I::Lw { rd, rs1, .. } | I::Lbu { rd, rs1, .. } if rd != 0 => {
-            st.regs[rd as usize] = match st.regs[rs1 as usize] {
-                Abs::ArgPtr | Abs::Tainted => Abs::Tainted,
-                _ => Abs::Top,
-            };
-        }
-        I::Sw { rs2, rs1, .. } | I::Sb { rs2, rs1, .. } => {
-            if let Some(out) = collect {
-                out.writes_mem = true;
-                if st.regs[rs1 as usize] == Abs::StackPtr {
-                    out.stores.push(StackStore {
-                        addr,
-                        value: st.regs[rs2 as usize],
-                    });
-                }
-            }
-        }
-        // No compare instruction: the conditional branch's own operand
-        // classes stand in for flags.
-        I::Beq { rs1, rs2, .. } | I::Bne { rs1, rs2, .. } => {
-            st.flags = (st.regs[rs1 as usize], st.regs[rs2 as usize]);
-        }
-        I::Jal { rd: 1, .. } | I::Jalr { rd: 1, .. } => {
-            if let Some(out) = collect {
-                out.call_args.push((addr, st.regs[10]));
-            }
-            // Caller-saved registers (ra, t0-t6, a0-a7) are clobbered;
-            // a summarized constant return re-seeds a0.
-            for reg in [1usize, 5, 6, 7, 28, 29, 30, 31] {
-                st.regs[reg] = Abs::Top;
-            }
-            for reg in 10..18 {
-                st.regs[reg] = Abs::Top;
-            }
-            if let Some(&v) = ret_consts.get(&addr) {
-                st.regs[10] = Abs::Const(v);
-            }
-        }
-        _ => {}
     }
 }
 

@@ -96,28 +96,40 @@ impl Harness {
     /// `input` as the upstream response under the sanitizer oracle, and
     /// folds the run's coverage into `accum`.
     pub fn exec(&mut self, input: &[u8], accum: &mut CoverageAccum) -> ExecOutcome {
-        let (daemon, mut out) = self.run(input);
-        out.novel = daemon
+        let (daemon, outcome) = self.run(input);
+        let novel = daemon
             .machine()
             .coverage()
             .is_some_and(|map| accum.note_new(map.bytes()));
-        out
+        let (tag, crash_key) = classify(&outcome);
+        let fault = match &outcome {
+            ProxyOutcome::Crashed(report) => Some(report.fault.to_string()),
+            ProxyOutcome::Compromised(_) | ProxyOutcome::HijackedExit { .. } => {
+                Some(outcome.to_string())
+            }
+            _ => None,
+        };
+        ExecOutcome {
+            tag,
+            crash_key,
+            fault,
+            novel,
+        }
     }
 
     /// Re-runs `input` and reports whether it crashes with `key` —
     /// the minimization predicate. The run is [`exec`](Harness::exec)'s
-    /// without the novelty fold: coverage stays armed, so the machine
-    /// behaves identically, but nothing is accumulated, so minimization
-    /// cannot perturb corpus admission.
+    /// without the novelty fold and the fault description: coverage
+    /// stays armed, so the machine behaves identically, but nothing is
+    /// accumulated, so minimization cannot perturb corpus admission.
     pub fn reproduces(&mut self, input: &[u8], key: &str) -> bool {
-        self.run(input).1.crash_key.as_deref() == Some(key)
+        classify(&self.run(input).1).1.as_deref() == Some(key)
     }
 
-    /// One exec up to its classification: fork (or reboot), arm the
-    /// sanitizer and the edge map, re-issue the canonical query and
-    /// deliver `input`. Returns the daemon it ran on, for the coverage
-    /// fold, and an outcome with `novel` unset.
-    fn run(&mut self, input: &[u8]) -> (&Daemon, ExecOutcome) {
+    /// One exec up to its outcome: fork (or reboot), arm the sanitizer
+    /// and the edge map, re-issue the canonical query and deliver
+    /// `input`. Returns the daemon it ran on, for the coverage fold.
+    fn run(&mut self, input: &[u8]) -> (&Daemon, ProxyOutcome) {
         let coverage = self.coverage;
         let boot_seed = self.boot_seed;
         let daemon = if self.reboot_per_exec {
@@ -134,40 +146,7 @@ impl Harness {
         // seed corpus stays valid across the whole campaign.
         let _query = daemon.resolve(&self.qname, RecordType::A);
         let outcome = daemon.deliver_response(input);
-        let (tag, crash, fault): (&'static str, Option<String>, Option<String>) = match &outcome {
-            ProxyOutcome::Rejected(_) => ("rejected", None, None),
-            ProxyOutcome::ParseFailed { .. } => ("parse-failed", None, None),
-            ProxyOutcome::Answered { .. } => ("answered", None, None),
-            ProxyOutcome::Crashed(report) => (
-                "crashed",
-                Some(crash_key(&report.fault)),
-                Some(report.fault.to_string()),
-            ),
-            // With the sanitizer armed these should be unreachable; if
-            // an input ever escapes the oracle, surface it loudly as its
-            // own crash bucket instead of miscounting it as benign.
-            ProxyOutcome::Compromised(_) => (
-                "compromised",
-                Some("oracle-escape-compromised".to_string()),
-                Some(outcome.to_string()),
-            ),
-            ProxyOutcome::HijackedExit { .. } => (
-                "hijacked-exit",
-                Some("oracle-escape-hijack".to_string()),
-                Some(outcome.to_string()),
-            ),
-            ProxyOutcome::DaemonDown => ("daemon-down", None, None),
-            // `ProxyOutcome` is non_exhaustive; treat unknown future
-            // outcomes as benign rather than fabricating crash keys.
-            _ => ("other", None, None),
-        };
-        let out = ExecOutcome {
-            tag,
-            crash_key: crash,
-            fault,
-            novel: false,
-        };
-        (daemon, out)
+        (daemon, outcome)
     }
 
     /// The wire bytes of the canonical query a fresh fork issues.
@@ -177,6 +156,30 @@ impl Harness {
             Resolution::Query(bytes) => Message::decode(&bytes).expect("own query decodes"),
             Resolution::Cached(_) => unreachable!("fresh fork has a cold cache"),
         }
+    }
+}
+
+/// An outcome's stable tag and, when it crashed (or escaped the
+/// oracle), its triage key.
+fn classify(outcome: &ProxyOutcome) -> (&'static str, Option<String>) {
+    match outcome {
+        ProxyOutcome::Rejected(_) => ("rejected", None),
+        ProxyOutcome::ParseFailed { .. } => ("parse-failed", None),
+        ProxyOutcome::Answered { .. } => ("answered", None),
+        ProxyOutcome::Crashed(report) => ("crashed", Some(crash_key(&report.fault))),
+        // With the sanitizer armed these should be unreachable; if an
+        // input ever escapes the oracle, surface it loudly as its own
+        // crash bucket instead of miscounting it as benign.
+        ProxyOutcome::Compromised(_) => {
+            ("compromised", Some("oracle-escape-compromised".to_string()))
+        }
+        ProxyOutcome::HijackedExit { .. } => {
+            ("hijacked-exit", Some("oracle-escape-hijack".to_string()))
+        }
+        ProxyOutcome::DaemonDown => ("daemon-down", None),
+        // `ProxyOutcome` is non_exhaustive; treat unknown future
+        // outcomes as benign rather than fabricating crash keys.
+        _ => ("other", None),
     }
 }
 

@@ -11,6 +11,10 @@
 //!   RV32IC subset ([`riscv`]), each with a matching assembler and
 //!   disassembler, all decoding through one declarative rule-table
 //!   subsystem ([`decoder`]);
+//! * a [`lift`] of each ISA's instructions to one effect form (register
+//!   sets, loads/stores, compares, stack moves, calls, control
+//!   transfers) with a per-arch ABI table, which the static analyzer
+//!   reads instead of the instruction enums;
 //! * a libc [`hooks`] layer: `memcpy`, `system`, `execlp`, `execve` and
 //!   `exit` are native functions triggered when the program counter
 //!   enters their address, following each architecture's calling
@@ -38,6 +42,7 @@ pub mod decoder;
 mod fault;
 pub mod hooks;
 mod ir;
+pub mod lift;
 pub mod loader;
 mod machine;
 mod mem;
